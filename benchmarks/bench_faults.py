@@ -1,15 +1,15 @@
 #!/usr/bin/env python
 """Benchmark the fault-tolerance layer's overhead at zero fault rate.
 
-The resilient executor path (per-item watchdog, retry bookkeeping,
-chunk-level futures instead of a plain ``pool.map``) is only worth
-having always-on in sweeps if it is close to free when nothing fails.
-This benchmark maps a synthetic CPU-bound workload through both paths —
-the plain fast path and the resilient path with a
-:class:`~repro.runtime.faults.RetryPolicy` but 0% injected faults — and
-reports the relative overhead.  Target: < 5%.
+Every map runs through the executor's one supervised dispatch loop; a
+:class:`~repro.runtime.faults.RetryPolicy` adds a per-item SIGALRM
+watchdog and retry budget on top.  That is only worth having always-on
+in sweeps if it is close to free when nothing fails.  This benchmark
+maps a synthetic CPU-bound workload through the loop without a policy
+and with a policy but 0% injected faults, and reports the relative
+overhead.  Target: < 5%.
 
-Also measured: the pure supervision cost on near-zero work items (an
+Also measured: the policy's per-item cost on near-zero work items (an
 upper bound — real attack cells run for seconds, drowning the
 bookkeeping), and one chaos round (transient faults + retries) to
 record what recovery costs when faults *do* fire.
@@ -82,24 +82,26 @@ def main(argv=None) -> int:
     for label, jobs in (("serial", 1), ("pool", args.jobs)):
         print(f"[bench_faults] {label}: realistic workload "
               f"({args.items} items x {args.iters} iters) ...", flush=True)
-        fast = _time_map(_burn, work, args.repeats, jobs=jobs, seed=0)
-        resilient = _time_map(_burn, work, args.repeats, jobs=jobs, seed=0,
-                              policy=policy)
+        bare = _time_map(_burn, work, args.repeats, jobs=jobs, seed=0)
+        guarded = _time_map(_burn, work, args.repeats, jobs=jobs, seed=0,
+                            policy=policy)
         rounds[label] = {
             "jobs": jobs,
-            "fast_path_s": round(fast, 4),
-            "resilient_0pct_s": round(resilient, 4),
-            "overhead_pct": round(100.0 * (resilient - fast) / fast, 2),
+            "no_policy_s": round(bare, 4),
+            "policy_0pct_s": round(guarded, 4),
+            "overhead_pct": round(100.0 * (guarded - bare) / bare, 2),
         }
-        print(f"[bench_faults]   fast {fast:.3f}s, resilient {resilient:.3f}s "
-              f"({rounds[label]['overhead_pct']:+.1f}%)", flush=True)
+        print(f"[bench_faults]   no policy {bare:.3f}s, policy "
+              f"{guarded:.3f}s ({rounds[label]['overhead_pct']:+.1f}%)",
+              flush=True)
 
-    # Upper bound: supervision cost dominates when items do ~no work.
+    # Upper bound: the policy's per-item cost dominates when items do
+    # ~no work.
     tiny_items = list(range(512))
-    tiny_fast = _time_map(_tiny, tiny_items, args.repeats, jobs=1)
-    tiny_resilient = _time_map(_tiny, tiny_items, args.repeats, jobs=1,
-                               policy=policy)
-    per_item_us = 1e6 * (tiny_resilient - tiny_fast) / len(tiny_items)
+    tiny_bare = _time_map(_tiny, tiny_items, args.repeats, jobs=1)
+    tiny_guarded = _time_map(_tiny, tiny_items, args.repeats, jobs=1,
+                             policy=policy)
+    per_item_us = 1e6 * (tiny_guarded - tiny_bare) / len(tiny_items)
 
     # What recovery costs when faults actually fire (not part of the
     # <5% target; recorded for context).
@@ -117,7 +119,7 @@ def main(argv=None) -> int:
         "iters_per_item": args.iters,
         "repeats": args.repeats,
         **rounds,
-        "supervision_cost_us_per_trivial_item": round(per_item_us, 2),
+        "policy_cost_us_per_trivial_item": round(per_item_us, 2),
         "chaos_round_s": round(chaos, 4),
         "chaos_faults_injected": len(plan.transients),
         "target_overhead_pct": target_pct,

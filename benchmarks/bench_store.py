@@ -1,25 +1,21 @@
 #!/usr/bin/env python
-"""Benchmark the sharded artifact store + work-stealing sweep scheduler.
+"""Benchmark the sharded artifact store behind a skewed parallel sweep.
 
 Drives a synthetic attack-grid sweep at >=10x the smoke profile's cell
 count (smoke precomputes 6 attack cells; this sweep runs 120 full / 60
-quick) through the three dispatch strategies — serial, static chunks,
-work-stealing — and records:
+quick) serially and at ``--jobs`` workers, and records:
 
-* **Bitwise equivalence** — every scheduler must produce exactly the
+* **Bitwise equivalence** — the parallel sweep must produce exactly the
   same artifact bytes as the serial baseline (the determinism contract
-  that makes the scheduler a pure performance knob).
-* **Scheduler efficiency** — per-worker busy/wall ratios and steal
-  counts from :class:`repro.runtime.executor.SchedulerStats`.  The cell
-  costs are deliberately skewed (every 7th cell is a ~20x straggler),
-  the profile where static chunking strands idle workers.
+  that makes ``jobs`` a pure performance knob).  The cell costs are
+  deliberately skewed (every 7th cell is a ~20x straggler); each cell is
+  its own pool task, so idle workers keep taking cells behind one.
 * **Store dedup** — the artifacts are written to a
   :class:`repro.runtime.store.ShardedStore`; beta-rows of the synthetic
   grid share payloads, so content addressing must report >0% savings.
 
-Exit status is non-zero if any scheduler diverges from the serial
-baseline or dedup saves nothing — this file is the acceptance record
-for ISSUE 8.
+Exit status is non-zero if the parallel sweep diverges from the serial
+baseline, dedup saves nothing, or the integrity scrub finds damage.
 
 Results are written to ``BENCH_store.json`` at the repo root.
 
@@ -30,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import time
@@ -45,7 +42,7 @@ FULL_CELLS = 120
 QUICK_CELLS = 60
 
 #: Every Nth cell burns ~STRAGGLER_SCALE x the base cost — the skewed
-#: profile that makes static chunking strand workers.
+#: profile where a straggler must not strand the other workers.
 STRAGGLER_EVERY = 7
 STRAGGLER_SCALE = 20
 
@@ -61,8 +58,8 @@ def _craft_cell(cell, seed=None):
     """Synthetic sweep cell: deterministic, CPU-bound, skewed cost.
 
     The artifact depends only on the cell's payload group (not on the
-    worker, the scheduler, or the per-item seed), so any two runs of
-    any dispatch strategy must agree byte-for-byte.
+    worker or the per-item seed), so any two runs at any job count must
+    agree byte-for-byte.
     """
     group = cell % UNIQUE_PAYLOADS
     rng = np.random.default_rng(group)
@@ -77,39 +74,14 @@ def _craft_cell(cell, seed=None):
             "group": np.array([group], dtype=np.int64)}
 
 
-def _run_sweep(cells, *, jobs, scheduler):
+def _run_sweep(cells, *, jobs):
     from repro.runtime.executor import ParallelExecutor
     from repro.runtime.store import content_hash
 
-    ex = ParallelExecutor(jobs, chunk_size=1, seed=0, scheduler=scheduler)
     t0 = time.perf_counter()
-    results = ex.map(_craft_cell, cells)
+    results = ParallelExecutor(jobs, seed=0).map(_craft_cell, cells)
     wall_s = time.perf_counter() - t0
-    sched = ex.last_schedule
-    digest = [content_hash(arrays) for arrays in results]
-    return results, digest, sched, wall_s
-
-
-def _sched_doc(sched, wall_s):
-    # The static chunked pool doesn't lease per item, so it has no
-    # per-worker busy times; report null rather than a misleading 0.
-    eff = sched.worker_efficiency() or None
-    return {
-        "scheduler": sched.scheduler,
-        "workers": sched.workers,
-        "items": sched.items,
-        "leases": sched.leases,
-        "steals": sched.steals,
-        "wall_s": round(wall_s, 3),
-        "busy_s": ({str(k): round(v, 3)
-                    for k, v in sorted(sched.busy_s.items())}
-                   if sched.busy_s else None),
-        "worker_efficiency": ({str(k): round(v, 4)
-                               for k, v in sorted(eff.items())}
-                              if eff else None),
-        "mean_efficiency": (round(sched.mean_efficiency, 4)
-                            if eff else None),
-    }
+    return results, [content_hash(arrays) for arrays in results], wall_s
 
 
 def main(argv=None) -> int:
@@ -118,7 +90,7 @@ def main(argv=None) -> int:
                         help=f"{QUICK_CELLS} cells instead of {FULL_CELLS} "
                              "(fast, for CI)")
     parser.add_argument("--jobs", type=int, default=4,
-                        help="worker processes for the parallel sweeps "
+                        help="worker processes for the parallel sweep "
                              "(default 4)")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_store.json"))
     args = parser.parse_args(argv)
@@ -131,20 +103,11 @@ def main(argv=None) -> int:
           f"({n_cells // STRAGGLER_EVERY + 1} stragglers, "
           f"{UNIQUE_PAYLOADS} unique payloads), jobs={args.jobs}", flush=True)
 
-    runs = {}
-    digests = {}
-    results, digests["serial"], sched, wall = _run_sweep(
-        cells, jobs=1, scheduler="static")
-    runs["serial"] = _sched_doc(sched, wall)
-    print(f"[bench_store]   serial         {wall:7.2f}s", flush=True)
-
-    for scheduler in ("static", "work_stealing"):
-        _, digests[scheduler], sched, wall = _run_sweep(
-            cells, jobs=args.jobs, scheduler=scheduler)
-        runs[scheduler] = _sched_doc(sched, wall)
-        eff = f"{sched.mean_efficiency:.3f}" if sched.busy_s else "n/a"
-        print(f"[bench_store]   {scheduler:<14} {wall:7.2f}s  "
-              f"steals={sched.steals}  eff={eff}", flush=True)
+    results, serial_digest, serial_wall = _run_sweep(cells, jobs=1)
+    print(f"[bench_store]   serial   {serial_wall:7.2f}s", flush=True)
+    _, parallel_digest, parallel_wall = _run_sweep(cells, jobs=args.jobs)
+    print(f"[bench_store]   jobs={args.jobs:<3} {parallel_wall:7.2f}s",
+          flush=True)
 
     with tempfile.TemporaryDirectory(prefix="bench_store_") as tmp:
         store = ShardedStore(tmp, shards=64)
@@ -158,22 +121,21 @@ def main(argv=None) -> int:
           f"{dedup['unique_blobs']} blobs, "
           f"saved {dedup['saved_pct']:.1f}%", flush=True)
 
-    speedup = (runs["static"]["wall_s"] /
-               max(runs["work_stealing"]["wall_s"], 1e-9))
     result = {
-        "benchmark": "sharded store + work-stealing sweep scheduler",
+        "benchmark": "sharded store behind a skewed parallel sweep",
         "mode": "quick" if args.quick else "full",
+        "cpu_count": os.cpu_count(),
         "cells": n_cells,
         "jobs": args.jobs,
         "straggler_every": STRAGGLER_EVERY,
         "straggler_scale": STRAGGLER_SCALE,
         "unique_payloads": UNIQUE_PAYLOADS,
-        "schedulers": runs,
-        "stealing_speedup_vs_static": round(speedup, 3),
-        "bitwise_identical": {
-            name: digests[name] == digests["serial"]
-            for name in ("static", "work_stealing")
+        "sweeps": {
+            "serial": {"jobs": 1, "wall_s": round(serial_wall, 3)},
+            "parallel": {"jobs": args.jobs,
+                         "wall_s": round(parallel_wall, 3)},
         },
+        "bitwise_identical": parallel_digest == serial_digest,
         "store": {
             "put_wall_s": round(put_wall, 3),
             "puts_per_s": round(n_cells / max(put_wall, 1e-9), 1),
@@ -188,16 +150,14 @@ def main(argv=None) -> int:
     print(json.dumps(result, indent=2))
 
     failures = []
-    for name, same in result["bitwise_identical"].items():
-        if not same:
-            failures.append(f"{name} sweep diverged from the serial baseline")
+    if not result["bitwise_identical"]:
+        failures.append(f"jobs={args.jobs} sweep diverged from the serial "
+                        "baseline")
     if dedup["saved_pct"] <= 0:
         failures.append("store dedup saved nothing on a grid with "
                         f"{UNIQUE_PAYLOADS}/{n_cells} unique payloads")
     if scrub["quarantined"] or scrub["dangling"]:
         failures.append(f"integrity scrub found damage: {scrub}")
-    if runs["work_stealing"]["leases"] < n_cells:
-        failures.append("work-stealing dispatched fewer leases than items")
     for failure in failures:
         print(f"[bench_store] FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -64,7 +64,7 @@ def transfer_matrix(attack_factory, models: Mapping[str, Module],
     with span("transfer/matrix", sources=len(names), batch=len(y0)):
         payloads = [(attack_factory, models[name], x0, y0) for name in names]
         crafted = parallel_map(_craft_on_source, payloads,
-                               jobs=resolve_jobs(jobs), chunk_size=1)
+                               jobs=resolve_jobs(jobs))
     results: Dict[str, AttackResult] = dict(zip(names, crafted))
     matrix: Dict[str, Dict[str, float]] = {}
     for src, result in results.items():

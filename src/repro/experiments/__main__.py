@@ -46,13 +46,13 @@ runs deterministic chaos against the runtime itself.  The bare form
 ``python -m repro.experiments table1`` still works as an alias for
 ``run table1``.
 
-``run`` and ``scenarios run`` also expose the storage/scheduling layer
+``run`` and ``scenarios run`` also expose the storage layer
 (``repro.runtime.store``): ``--store-shards N`` sets the shard fan-out
-of the content-addressed artifact store, ``--store-max-bytes SIZE``
+of the content-addressed artifact store, and ``--store-max-bytes SIZE``
 (plain bytes or ``512M``/``2G``-style suffixes) bounds it with LRU
-eviction, and ``--scheduler {static,work_stealing}`` picks the
-executor's dispatch strategy — work stealing keeps workers dense when
-high-κ cells straggle, with identical published artifacts.
+eviction.  At ``--jobs N`` each sweep cell is its own pool task, so an
+idle worker always takes the next cell and a straggling high-κ cell
+holds up only its own worker.
 
 ``run``, ``scenarios run`` and ``serve`` take ``--nn-backend
 {numpy,fft,buffered}`` to pin the kernel backend for every
@@ -162,7 +162,7 @@ def _nn_backend_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _store_flags(p: argparse.ArgumentParser) -> None:
-    """Artifact-store and scheduler flags shared by run/scenarios run."""
+    """Artifact-store flags shared by run/scenarios run."""
     p.add_argument("--store-shards", type=int, default=256, metavar="N",
                    help="shard fan-out of the content-addressed artifact "
                         "store (default 256)")
@@ -170,12 +170,6 @@ def _store_flags(p: argparse.ArgumentParser) -> None:
                    metavar="SIZE",
                    help="bound stored artifact bytes with LRU eviction; "
                         "accepts K/M/G/T suffixes (default: unbounded)")
-    p.add_argument("--scheduler", choices=("static", "work_stealing"),
-                   default="static",
-                   help="sweep dispatch strategy: static pre-chunking or "
-                        "a work-stealing deque (identical results; "
-                        "stealing keeps workers dense under skewed cell "
-                        "costs)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,7 +446,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                 resume=args.resume,
                                 retry_policy=retry_policy,
                                 fault_plan=args.inject_faults,
-                                scheduler=args.scheduler,
                                 nn_backend=nn_backend)
         print(report)
         print()
@@ -660,7 +653,6 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
     contexts = {
         dataset: ExperimentContext(dataset, profile=profile, cache=cache,
                                    seed=args.seed,
-                                   scheduler=args.scheduler,
                                    nn_backend=nn_backend)
         for dataset in sorted({c.scenario.dataset for c in cells})
     }
@@ -670,8 +662,7 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
         log.warning("chaos mode enabled: %s", args.inject_faults.describe())
     outcomes = run_scenarios(cells, contexts, jobs=args.jobs,
                              resume=args.resume, policy=policy,
-                             fault_plan=args.inject_faults,
-                             scheduler=args.scheduler)
+                             fault_plan=args.inject_faults)
 
     print(render_table(outcomes_table(outcomes)))
     gains = adaptive_gain(outcomes)

@@ -81,7 +81,7 @@ class ExperimentContext:
     def __init__(self, dataset: str, profile: Optional[ExperimentProfile] = None,
                  cache: Optional[DiskCache] = None, seed: int = 0, *,
                  jobs: int = 1, retry_policy=None, fault_plan=None,
-                 batch_mode: str = "batched", scheduler: str = "static",
+                 batch_mode: str = "batched",
                  nn_backend: Optional[str] = None):
         if dataset not in ("digits", "objects"):
             raise KeyError(f"dataset must be 'digits' or 'objects', got {dataset!r}")
@@ -107,10 +107,6 @@ class ExperimentContext:
         #: sweep publishes bitwise-identical artifacts.
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
-        #: Executor dispatch strategy for sweeps (``"static"`` or
-        #: ``"work_stealing"``).  Another pure execution hint: stealing
-        #: moves cells between workers, never changes their seeds.
-        self.scheduler = scheduler
         #: Kernel backend every attack dispatch pins (see
         #: :mod:`repro.nn.backend`).  ``None`` defers to the profile's
         #: ``nn_backend``.  Unlike the hints above this *can* change

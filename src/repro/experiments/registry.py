@@ -52,15 +52,14 @@ def get_context(dataset: str, profile: Optional[ExperimentProfile] = None,
                 cache: Optional[DiskCache] = None,
                 seed: int = 0, *, jobs: int = 1,
                 retry_policy=None, fault_plan=None,
-                scheduler: str = "static",
                 nn_backend: Optional[str] = None) -> ExperimentContext:
     """Memoized ExperimentContext for (dataset, profile, seed).
 
-    ``jobs``, ``retry_policy``, ``fault_plan`` and ``scheduler`` are
-    execution hints, not part of the memo key: passing different values
-    updates the existing context's fan-out/fault-tolerance/scheduling
-    behavior without invalidating its cached data/models (results are
-    identical for any setting — see :mod:`repro.runtime`).
+    ``jobs``, ``retry_policy`` and ``fault_plan`` are execution hints,
+    not part of the memo key: passing different values updates the
+    existing context's fan-out/fault-tolerance behavior without
+    invalidating its cached data/models (results are identical for any
+    setting — see :mod:`repro.runtime`).
 
     ``nn_backend`` is *not* a pure hint — the FFT path is
     tolerance-equivalent rather than bitwise — so the context keys
@@ -75,13 +74,11 @@ def get_context(dataset: str, profile: Optional[ExperimentProfile] = None,
                                            cache=cache, seed=seed, jobs=jobs,
                                            retry_policy=retry_policy,
                                            fault_plan=fault_plan,
-                                           scheduler=scheduler,
                                            nn_backend=nn_backend)
     else:
         _contexts[key].jobs = int(jobs)
         _contexts[key].retry_policy = retry_policy
         _contexts[key].fault_plan = fault_plan
-        _contexts[key].scheduler = scheduler
         if nn_backend is not None:
             _contexts[key].nn_backend = nn_backend
     return _contexts[key]
@@ -96,7 +93,6 @@ def run_experiment(exp_id: str, profile: Optional[ExperimentProfile] = None,
                    cache: Optional[DiskCache] = None,
                    seed: int = 0, *, jobs: int = 1, resume: bool = False,
                    retry_policy=None, fault_plan=None,
-                   scheduler: str = "static",
                    nn_backend: Optional[str] = None) -> ExperimentReport:
     """Run one table/figure reproduction and return its report.
 
@@ -108,12 +104,12 @@ def run_experiment(exp_id: str, profile: Optional[ExperimentProfile] = None,
 
     ``resume=True`` continues an interrupted sweep from its checkpoint
     manifest, recomputing only missing/corrupt/previously-failed cells.
-    ``retry_policy`` overrides the sweep's fault-tolerance defaults,
-    ``fault_plan`` injects deterministic chaos (``--inject-faults``),
-    ``scheduler`` picks the dispatch strategy (``--scheduler``), and
-    ``nn_backend`` pins the kernel backend for every attack dispatch
-    (``--nn-backend``; default: the profile's); see
-    :mod:`repro.runtime` and :mod:`repro.nn.backend`.
+    ``retry_policy`` overrides the sweep's fault-tolerance defaults and
+    ``fault_plan`` injects deterministic chaos (``--inject-faults``);
+    setting either precomputes the grid through the supervised sweep
+    even at ``jobs=1``.  ``nn_backend`` pins the kernel backend for
+    every attack dispatch (``--nn-backend``; default: the profile's);
+    see :mod:`repro.runtime` and :mod:`repro.nn.backend`.
     """
     if exp_id not in _SPEC:
         raise KeyError(
@@ -121,16 +117,17 @@ def run_experiment(exp_id: str, profile: Optional[ExperimentProfile] = None,
     fn, datasets, _desc = _SPEC[exp_id]
     contexts = [get_context(ds, profile=profile, cache=cache, seed=seed,
                             jobs=jobs, retry_policy=retry_policy,
-                            fault_plan=fault_plan, scheduler=scheduler,
-                            nn_backend=nn_backend)
+                            fault_plan=fault_plan, nn_backend=nn_backend)
                 for ds in datasets]
     with span(f"experiment/{exp_id}", jobs=jobs):
-        if (jobs is not None and jobs != 1) or resume:
+        # The sweep is the only place a retry policy or fault plan takes
+        # effect; the table bodies craft attacks unsupervised.
+        if ((jobs is not None and jobs != 1) or resume
+                or retry_policy is not None or fault_plan is not None):
             from repro.experiments.sweeps import precompute_attacks
 
             for ctx in contexts:
-                precompute_attacks(ctx, jobs=jobs, resume=resume,
-                                   scheduler=scheduler)
+                precompute_attacks(ctx, jobs=jobs, resume=resume)
         return fn(*contexts)
 
 

@@ -202,20 +202,19 @@ def precompute_attacks(ctx: ExperimentContext, *,
                        jobs: Optional[int] = None,
                        resume: bool = False,
                        policy: Optional[RetryPolicy] = None,
-                       fault_plan: Optional[FaultPlan] = None,
-                       scheduler: Optional[str] = None
+                       fault_plan: Optional[FaultPlan] = None
                        ) -> Dict[str, int]:
     """Craft every uncached cell of a sweep, fanning out across ``jobs``.
 
     After this returns, the serial accessors (``ctx.cw``/``ctx.ead``)
     are pure cache hits for the covered grid.  Returns a summary dict
-    (``computed``/``cached``/``jobs``/``failed``/``healed``/``steals``).
+    (``computed``/``cached``/``jobs``/``failed``/``healed``).
 
     The sweep is fault-tolerant and resumable:
 
     * Cells run under ``policy`` (default :data:`SWEEP_RETRY_POLICY`):
       per-item timeout, bounded retry with exponential backoff, and
-      failed-chunk re-dispatch on a worker crash.  A cell that exhausts
+      crashed-cell re-dispatch on a worker crash.  A cell that exhausts
       its retries is recorded as failed — in the checkpoint manifest
       and as ``sweep/cell_failed`` telemetry — instead of aborting the
       sweep; every healthy cell still completes.
@@ -229,24 +228,17 @@ def precompute_attacks(ctx: ExperimentContext, *,
       transient faults, corrupted cache reads) for testing; because
       retries reuse per-cell seeds and attacks are deterministic, a
       faulted run that completes is bitwise-identical to a clean one.
-    * ``scheduler`` (default: the context's ``scheduler`` hint, else
-      ``"static"``) selects the executor's dispatch strategy;
-      ``"work_stealing"`` keeps workers dense when high-κ cells
-      straggle.  Either way the published artifacts are identical.
     """
     jobs = resolve_jobs(ctx.jobs if jobs is None else jobs)
     if policy is None:
         policy = getattr(ctx, "retry_policy", None) or SWEEP_RETRY_POLICY
     if fault_plan is None:
         fault_plan = getattr(ctx, "fault_plan", None)
-    if scheduler is None:
-        scheduler = getattr(ctx, "scheduler", None) or "static"
     cells = attack_grid(ctx, kappas=kappas, betas=betas,
                         include_cw=include_cw)
     todo = missing_cells(ctx, cells, verify=resume)
     summary = {"computed": len(todo), "cached": len(cells) - len(todo),
-               "jobs": jobs, "failed": 0, "healed": 0,
-               "scheduler": scheduler, "steals": 0}
+               "jobs": jobs, "failed": 0, "healed": 0}
     if not todo:
         return summary
 
@@ -268,8 +260,7 @@ def precompute_attacks(ctx: ExperimentContext, *,
     _save_manifest(ctx, ckpt_key, manifest)
 
     with span("sweep/precompute", dataset=ctx.dataset,
-              cells=len(todo), jobs=jobs, resume=resume or None,
-              scheduler=scheduler) as evt:
+              cells=len(todo), jobs=jobs, resume=resume or None) as evt:
         # Materialize shared inputs once, in the parent, so workers do
         # not redundantly train/select (and so results cannot depend on
         # worker-local state).
@@ -308,16 +299,13 @@ def precompute_attacks(ctx: ExperimentContext, *,
             manifest["done"][_cell_id(cell)] = {"keys": sorted(keys.values())}
             _save_manifest(ctx, ckpt_key, manifest)
 
-        executor = ParallelExecutor(jobs, chunk_size=1, policy=policy,
-                                    fault_plan=fault_plan, on_error="record",
-                                    scheduler=scheduler)
+        executor = ParallelExecutor(jobs, policy=policy,
+                                    fault_plan=fault_plan, on_error="record")
         try:
             outputs = executor.map(_craft_cell, payloads, on_result=publish)
         finally:
             for key in pinned:
                 ctx.cache.unpin("attacks", key)
-        if executor.last_schedule is not None:
-            summary["steals"] = executor.last_schedule.steals
 
         for cell, output in zip(todo, outputs):
             if isinstance(output, ItemFailure):

@@ -5,14 +5,16 @@ craft C&W/EAD sweeps over (kappa, beta), score the oblivious defense —
 is embarrassingly parallel per attack cell.  This package provides the
 shared machinery:
 
-* :class:`ParallelExecutor` / :func:`parallel_map` — chunked,
-  order-preserving process-pool mapping with a serial fallback and
-  deterministic per-item seeding, so parallel runs are bitwise-identical
-  to serial ones.  With a :class:`RetryPolicy` the executor becomes
-  fault-tolerant: per-item SIGALRM timeouts, bounded retry with
-  exponential backoff, failed-chunk re-dispatch on a worker crash, and
-  terminal per-item :class:`ItemFailure` records instead of
-  experiment-wide aborts.
+* :class:`ParallelExecutor` / :func:`parallel_map` — order-preserving
+  mapping with deterministic per-item seeding, so parallel runs are
+  bitwise-identical to serial ones.  One supervised loop runs every
+  map: in-process at ``jobs<=1``, one process-pool future per item at
+  ``jobs>1`` (the pool's own queue keeps workers busy behind a
+  straggler), with a serial fallback when the pool cannot run.  A
+  :class:`RetryPolicy` sets its fault tolerance: per-item SIGALRM
+  timeouts, bounded retry with exponential backoff, crashed-item
+  re-dispatch, and terminal per-item :class:`ItemFailure` records
+  instead of experiment-wide aborts.
 * :class:`FaultPlan` — deterministic, seeded fault injection (worker
   crashes, hangs, transient exceptions, corrupted cache reads) keyed by
   item index, used by the chaos tests and the ``--inject-faults`` CLI
@@ -22,10 +24,7 @@ shared machinery:
   ``shards/<shard>/<hash>.npz``, cross-cell dedup, size-bounded LRU
   eviction with checkpoint pinning, corrupt-blob quarantine, a
   per-shard resumable integrity scrub, and transparent migration of
-  flat-layout caches.  The executor's ``scheduler="work_stealing"``
-  mode (with :class:`SchedulerStats` busy/wall reporting) pairs with it
-  to keep large sweeps dense: idle workers steal half of the largest
-  remaining run instead of idling behind a straggler.
+  flat-layout caches.
 * :class:`RunTelemetry` / :func:`telemetry` — the *deprecated*
   string-keyed telemetry API, now a shim over :mod:`repro.obs` (spans,
   metrics, profiling).  New code should use
@@ -38,10 +37,7 @@ shared machinery:
 
 from repro.runtime.executor import (
     MAX_JOBS,
-    SCHEDULERS,
     ParallelExecutor,
-    SchedulerStats,
-    default_chunk_size,
     parallel_map,
     resolve_jobs,
 )
@@ -81,15 +77,12 @@ __all__ = [
     "ParallelExecutor",
     "RetryPolicy",
     "RunTelemetry",
-    "SCHEDULERS",
-    "SchedulerStats",
     "ShardedStore",
     "StoreEntry",
     "aggregate_events",
     "configure_telemetry",
     "content_hash",
     "corrupt_cache_entry",
-    "default_chunk_size",
     "load_events",
     "parallel_map",
     "render_fault_summary",

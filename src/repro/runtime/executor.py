@@ -1,52 +1,43 @@
-"""Chunked process-pool mapping with deterministic seeding and fault tolerance.
+"""Process-pool mapping with deterministic seeding and fault tolerance.
 
 The executor never changes *what* is computed, only *where*: work items
 are mapped in order, per-item seeds are derived from a root
 :class:`numpy.random.SeedSequence` by item index (not by worker), and
-the serial path applies the exact same function to the exact same
+the serial loop applies the exact same function to the exact same
 payloads — so a parallel run is bitwise-identical to ``jobs=1``.
 Retries reuse the item's original seed, so a retried item is also
 bitwise-identical to one that succeeded first try.
 
-Two execution paths share that contract:
+Every map runs through one supervised dispatch loop per ``jobs``
+regime: in-process at ``jobs<=1``, and one process-pool future per item
+at ``jobs>1``.  One item per future is also the load balancer: the
+pool hands the next queued item to whichever worker frees up first, so
+a straggler (a high-κ EAD cell taking 10× its neighbours) only ever
+holds up its own worker.
 
-* The **fast path** (no :class:`~repro.runtime.faults.RetryPolicy`, no
-  fault plan) is a plain ``pool.map``.  Anything that prevents the pool
-  from running at all (unpicklable callables, a platform without usable
-  multiprocessing) degrades to the serial path with a warning.
-* The **resilient path** (any of ``policy`` / ``fault_plan`` /
-  ``on_error="record"`` set) dispatches chunks as individual futures and
-  supervises them: a per-item timeout is enforced *inside* the worker by
-  a SIGALRM watchdog, failed items are retried with exponential backoff
-  (``runtime/retry`` telemetry), a ``BrokenProcessPool`` re-dispatches
-  only the chunks whose futures died (counting a crash attempt against
-  their items) instead of redoing the whole map, and an item that
-  exhausts its retry budget becomes a terminal per-item failure —
-  an :class:`~repro.runtime.faults.ItemFailure` record at its position
-  (``on_error="record"``) or a raised error (``on_error="raise"``) —
-  rather than an experiment-wide abort.
-
-Both paths accept ``scheduler="work_stealing"``: instead of carving the
-items into fixed chunks up front (which lets one straggler — a high-κ
-EAD cell taking 10× its neighbours — serialize the tail of a sweep),
-the parent keeps one deque of contiguous item runs per worker slot and
-leases small batches; a slot that drains its deque *steals half of the
-largest remaining run* from the back of the busiest deque.  Stealing
-only changes which worker computes an item, never its seed or payload,
-so the bitwise-identity contract is untouched.  Scheduler behaviour is
-observable: ``scheduler/steals`` and ``scheduler/leases`` counters, a
-``scheduler/worker_busy_s`` histogram, and a per-map
-:class:`SchedulerStats` (per-worker busy/wall efficiency) on
-``ParallelExecutor.last_schedule``.
+Supervision is driven by a :class:`~repro.runtime.faults.RetryPolicy`.
+A per-item timeout is enforced *inside* the worker by a SIGALRM
+watchdog, failed items are retried with exponential backoff
+(``runtime/retry`` telemetry), and a ``BrokenProcessPool`` re-dispatches
+only the items whose futures died, counting a crash attempt against
+each.  An item that exhausts its retry budget becomes a terminal
+per-item failure: an :class:`~repro.runtime.faults.ItemFailure` record
+at its position (``on_error="record"``) or, once the map has finished,
+the lowest-index failure raised (``on_error="raise"``).  Without a
+policy the map supervises with zero retries and no timeout.  Anything
+that prevents the pool from running at all (unpicklable callables, a
+platform without usable multiprocessing) degrades to the serial loop
+with a warning.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
-import dataclasses
 import os
 import pickle
 import signal
+import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -56,7 +47,6 @@ from repro.obs import (
     counter,
     current_trace_context,
     event,
-    histogram,
     span,
 )
 from repro.runtime.faults import (
@@ -97,93 +87,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-#: Schedulers accepted by :class:`ParallelExecutor` / :func:`parallel_map`.
-SCHEDULERS = ("static", "work_stealing")
-
-
-def default_chunk_size(n_items: int, jobs: int) -> int:
-    """Chunk so each worker sees ~4 chunks (load balance vs IPC cost).
-
-    Always returns ≥ 1, including the ``n_items < jobs`` regime (where a
-    naive ``n_items // (jobs * 4)`` yields 0 → a crashed pool) and huge
-    item counts (integer ceiling division avoids the float rounding of
-    ``math.ceil(n / d)``, which can be off by one above 2**53).
-    """
-    n_items = int(n_items)
-    jobs = int(jobs)
-    if n_items <= 0 or jobs <= 0:
-        return 1
-    return max(1, -(-n_items // (jobs * 4)))
-
-
-@dataclasses.dataclass
-class SchedulerStats:
-    """How one :meth:`ParallelExecutor.map` call spent its workers.
-
-    ``busy_s`` maps a worker *slot* (a scheduling lane with one lease in
-    flight at a time — the pool assigns OS processes to leases) to the
-    summed in-worker execution time of its leases.  Efficiency is
-    busy/wall per slot: ~1.0 means the slot never waited on the
-    scheduler; a static-chunk straggler shows up as every other slot's
-    efficiency collapsing while one stays at 1.0.
-    """
-
-    scheduler: str
-    workers: int
-    items: int
-    leases: int = 0
-    steals: int = 0
-    wall_s: float = 0.0
-    busy_s: Dict[int, float] = dataclasses.field(default_factory=dict)
-
-    def worker_efficiency(self) -> Dict[int, float]:
-        """Per-slot busy/wall ratio (empty if busy time wasn't measured)."""
-        if self.wall_s <= 0.0:
-            return {}
-        return {slot: busy / self.wall_s
-                for slot, busy in sorted(self.busy_s.items())}
-
-    @property
-    def mean_efficiency(self) -> float:
-        eff = self.worker_efficiency()
-        return sum(eff.values()) / len(eff) if eff else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "scheduler": self.scheduler,
-            "workers": self.workers,
-            "items": self.items,
-            "leases": self.leases,
-            "steals": self.steals,
-            "wall_s": round(self.wall_s, 6),
-            "busy_s": {str(k): round(v, 6)
-                       for k, v in sorted(self.busy_s.items())},
-            "worker_efficiency": {str(k): round(v, 4)
-                                  for k, v in
-                                  self.worker_efficiency().items()},
-            "mean_efficiency": round(self.mean_efficiency, 4),
-        }
-
-
-def _call(fn: Callable, item: Any, seed: Optional[int]) -> Any:
-    return fn(item) if seed is None else fn(item, seed=seed)
-
-
-def _invoke(payload) -> Any:
-    """Top-level trampoline so the pool can pickle the unit of work.
-
-    The payload carries the driver's :class:`TraceContext` plus the
-    parent's active kernel-backend name, so spans the work item opens in
-    the worker nest under the driver's map span and every nn dispatch in
-    the worker resolves the same backend as a ``jobs=1`` run would.
-    """
-    from repro.nn.backend import use_backend
-
-    fn, item, seed, trace_ctx, backend = payload
-    with attach_trace_context(trace_ctx), use_backend(backend):
-        return _call(fn, item, seed)
-
-
 @contextlib.contextmanager
 def _watchdog(timeout_s: Optional[float]):
     """Raise :class:`ItemTimeout` in this process after ``timeout_s``.
@@ -192,6 +95,7 @@ def _watchdog(timeout_s: Optional[float]):
     C-level call (``time.sleep``, a numpy matmul does release the GIL
     but signals are handled on return to the interpreter).  A no-op when
     ``timeout_s`` is None or the platform lacks SIGALRM (non-POSIX).
+    Must run on the main thread: ``signal.signal`` raises elsewhere.
     """
     if timeout_s is None or not hasattr(signal, "SIGALRM"):
         yield
@@ -221,7 +125,7 @@ def _picklable_error(exc: BaseException) -> BaseException:
 def _run_one(fn, item, seed, index: int, attempt: int,
              timeout_s: Optional[float], plan: Optional[FaultPlan],
              trace_ctx: Optional[TraceContext], in_worker: bool,
-             backend: Optional[str] = None):
+             backend: Optional[str]):
     """Run one supervised item; never raises (crash faults excepted)."""
     from repro.nn.backend import use_backend
 
@@ -230,33 +134,155 @@ def _run_one(fn, item, seed, index: int, attempt: int,
             if plan is not None:
                 plan.fire(index, attempt, in_worker=in_worker)
             with attach_trace_context(trace_ctx), use_backend(backend):
-                return (index, "ok", _call(fn, item, seed))
-    except ItemTimeout as exc:
-        return (index, "timeout", _picklable_error(exc))
-    except InjectedCrash as exc:       # serial-path stand-in for os._exit
-        return (index, "crash", _picklable_error(exc))
+                value = fn(item) if seed is None else fn(item, seed=seed)
+                return (index, "ok", value)
     except Exception as exc:
-        return (index, "error", _picklable_error(exc))
+        kind = ("timeout" if isinstance(exc, ItemTimeout)
+                # InjectedCrash is the serial loop's stand-in for os._exit.
+                else "crash" if isinstance(exc, InjectedCrash) else "error")
+        return (index, kind, _picklable_error(exc) if in_worker else exc)
 
 
-def _invoke_chunk(payloads) -> List:
-    """Worker body of the resilient path: supervise a chunk of items."""
-    return [_run_one(fn, item, seed, index, attempt, timeout_s, plan,
-                     trace_ctx, in_worker=True, backend=backend)
-            for fn, item, seed, index, attempt, timeout_s, plan, trace_ctx,
-            backend in payloads]
+def _start_method() -> str:
+    """``fork`` where the platform has it, else ``spawn``."""
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else "spawn"
 
 
-def _invoke_lease(payloads) -> tuple:
-    """Worker body of the work-stealing path: a chunk plus its busy time.
+class _MapRun:
+    """Supervision state of one :meth:`ParallelExecutor.map` call."""
 
-    Busy time is measured *inside* the worker, so it excludes pickling,
-    queueing and scheduler latency — exactly the numerator of the
-    busy/wall efficiency the benchmark reports.
-    """
-    t0 = time.perf_counter()
-    outcomes = _invoke_chunk(payloads)
-    return (time.perf_counter() - t0, outcomes)
+    def __init__(self, fn, items, seeds, policy: RetryPolicy,
+                 fault_plan: Optional[FaultPlan],
+                 trace_ctx: Optional[TraceContext], backend: Optional[str],
+                 on_result):
+        self.fn, self.items, self.seeds = fn, items, seeds
+        self.policy = policy
+        self.fault_plan = fault_plan
+        self.trace_ctx = trace_ctx
+        self.backend = backend
+        self.on_result = on_result
+        n = len(items)
+        self.results: List[Any] = [None] * n
+        self.done = [False] * n
+        self.attempts = [0] * n
+        self.errors: Dict[int, tuple] = {}      # index -> (kind, exception)
+
+    def args(self, index: int, timeout_s: Optional[float],
+             in_worker: bool) -> tuple:
+        """Positional arguments of :func:`_run_one` for item ``index``."""
+        return (self.fn, self.items[index], self.seeds[index], index,
+                self.attempts[index], timeout_s, self.fault_plan,
+                self.trace_ctx, in_worker, self.backend)
+
+    def unfinished(self) -> List[int]:
+        return [i for i in range(len(self.items))
+                if not self.done[i] and i not in self.errors]
+
+    def handle(self, outcome, retry_queue) -> None:
+        index, status, value = outcome
+        if status == "ok":
+            self.results[index] = value
+            self.done[index] = True
+            if self.on_result is not None:
+                self.on_result(index, value)
+            return
+        policy = self.policy
+        self.attempts[index] += 1
+        attempt = self.attempts[index]
+        if status == "timeout":
+            counter("runtime/timeouts").inc()
+            event("runtime/timeout", item=index, attempt=attempt,
+                  timeout_s=policy.timeout_s)
+        if attempt <= policy.retries:
+            counter("runtime/retries").inc()
+            event("runtime/retry", item=index, attempt=attempt,
+                  reason=status, error=str(value))
+            log.warning("item %d failed (%s: %s) — retry %d/%d", index,
+                        status, value, attempt, policy.retries)
+            retry_queue.append(index)
+        else:
+            counter("runtime/giveups").inc()
+            event("runtime/giveup", item=index, attempts=attempt,
+                  reason=status, error=str(value))
+            self.errors[index] = (status, value)
+
+    def drain_serial(self, pending: Iterable[int]) -> None:
+        """In-process loop (``jobs<=1`` and the pool-less fallback)."""
+        timeout_s = self.policy.timeout_s
+        if (timeout_s is not None
+                and threading.current_thread() is not threading.main_thread()):
+            # signal.signal() raises ValueError off the main thread.
+            log.warning("per-item timeout of %gs not enforced: the SIGALRM "
+                        "watchdog needs the main thread", timeout_s)
+            timeout_s = None
+        queue = collections.deque(pending)
+        while queue:
+            index = queue.popleft()
+            time.sleep(self.policy.delay(self.attempts[index]))
+            self.handle(_run_one(*self.args(index, timeout_s, False)), queue)
+
+    def drain_pool(self, jobs: int, pending: List[int]) -> None:
+        """One future per item; crashed items re-dispatch to a new pool."""
+        import concurrent.futures
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool
+
+        ctx = multiprocessing.get_context(_start_method())
+        pool = None
+        futures: Dict[Any, int] = {}
+        broken_rounds = 0
+        try:
+            while pending:
+                if pool is None:
+                    pool = concurrent.futures.ProcessPoolExecutor(
+                        min(jobs, len(pending)), ctx)
+                time.sleep(max(self.policy.delay(self.attempts[i])
+                               for i in pending))
+                futures = {
+                    pool.submit(_run_one,
+                                *self.args(i, self.policy.timeout_s, True)): i
+                    for i in pending
+                }
+                retry_queue: List[int] = []
+                crashed = 0
+                for fut in concurrent.futures.as_completed(futures):
+                    try:
+                        outcome = fut.result()
+                    except BrokenProcessPool as exc:
+                        # A pool break takes down every future still in
+                        # flight; the culprit is unknowable (its output
+                        # died with the worker), so each counts one crash.
+                        crashed += 1
+                        outcome = (futures[fut], "crash", exc)
+                    self.handle(outcome, retry_queue)
+                if crashed:
+                    log.warning("worker crashed; re-dispatching %d items",
+                                crashed)
+                    pool.shutdown(wait=False)
+                    pool = None
+                    broken_rounds += 1
+                    if broken_rounds >= 3 and retry_queue:
+                        # The pool itself looks unusable (e.g. every fork
+                        # dies); stop burning retries on it.
+                        log.warning("%d consecutive broken rounds — "
+                                    "finishing %d items serially",
+                                    broken_rounds, len(retry_queue))
+                        self.drain_serial(sorted(retry_queue))
+                        retry_queue = []
+                else:
+                    broken_rounds = 0
+                pending = sorted(retry_queue)
+        finally:
+            if pool is not None:
+                # Future.cancel(), not shutdown(cancel_futures=True): after
+                # an unpicklable submission the latter can hang the pool's
+                # manager thread and with it interpreter exit.
+                for fut in futures:
+                    fut.cancel()
+                pool.shutdown(wait=False)
 
 
 class ParallelExecutor:
@@ -264,70 +290,43 @@ class ParallelExecutor:
 
     Args:
         jobs: worker processes; ``None``/``0`` means one per core and
-            ``1`` forces the serial path (no pool, no pickling).
-        chunk_size: items per pool task (default
-            :func:`default_chunk_size`).
+            ``1`` forces the serial loop (no pool, no pickling).
         seed: when given, each item's callable receives an independent
             ``seed=`` keyword derived from this root by *item index*, so
             results do not depend on worker scheduling (or on retries).
-        mp_context: multiprocessing start method (default ``fork`` where
-            available, else ``spawn``).
-        policy: a :class:`~repro.runtime.faults.RetryPolicy` enabling
-            the resilient path — per-item timeout, bounded retry with
-            exponential backoff, failed-chunk re-dispatch.
+        policy: a :class:`~repro.runtime.faults.RetryPolicy` — per-item
+            timeout, bounded retry with exponential backoff, crashed-item
+            re-dispatch.  Default: zero retries and no timeout, or the
+            default ``RetryPolicy()`` when ``fault_plan`` is set or
+            ``on_error="record"``.
         fault_plan: a :class:`~repro.runtime.faults.FaultPlan` injecting
-            deterministic faults (chaos testing); implies the resilient
-            path with a default policy.
-        on_error: ``"raise"`` (default) propagates the first terminal
-            item failure; ``"record"`` returns an
-            :class:`~repro.runtime.faults.ItemFailure` at the item's
-            position and keeps going.
-        scheduler: ``"static"`` (default) pre-chunks the items;
-            ``"work_stealing"`` leases small batches from per-slot
-            deques and lets idle slots steal half of the largest
-            remaining run, so stragglers don't serialize the sweep.
-            Results are identical either way (same seeds, same
-            payloads); only worker assignment changes.
+            deterministic faults (chaos testing).
+        on_error: ``"raise"`` (default) raises the lowest-index terminal
+            item failure once the map has finished; ``"record"`` returns
+            an :class:`~repro.runtime.faults.ItemFailure` at the item's
+            position.
     """
 
     def __init__(self, jobs: Optional[int] = None, *,
-                 chunk_size: Optional[int] = None,
                  seed: Optional[int] = None,
-                 mp_context: Optional[str] = None,
                  policy: Optional[RetryPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 on_error: str = "raise",
-                 scheduler: str = "static"):
+                 on_error: str = "raise"):
         if on_error not in ("raise", "record"):
             raise ValueError(
                 f"on_error must be 'raise' or 'record', got {on_error!r}")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"scheduler must be one of {SCHEDULERS}, "
-                             f"got {scheduler!r}")
         self.jobs = resolve_jobs(jobs)
-        self.chunk_size = chunk_size
         self.seed = seed
-        self.mp_context = mp_context
         self.policy = policy
         self.fault_plan = fault_plan
         self.on_error = on_error
-        self.scheduler = scheduler
-        #: :class:`SchedulerStats` of the most recent :meth:`map` call.
-        self.last_schedule: Optional[SchedulerStats] = None
 
-    def _start_method(self) -> str:
-        if self.mp_context is not None:
-            return self.mp_context
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in methods else "spawn"
-
-    @property
-    def _resilient(self) -> bool:
-        return (self.policy is not None or self.fault_plan is not None
-                or self.on_error == "record"
-                or self.scheduler == "work_stealing")
+    def _effective_policy(self) -> RetryPolicy:
+        if self.policy is not None:
+            return self.policy
+        if self.fault_plan is not None or self.on_error == "record":
+            return RetryPolicy()
+        return RetryPolicy(retries=0)
 
     def map(self, fn: Callable, items: Iterable[Any],
             on_result: Optional[Callable[[int, Any], None]] = None
@@ -339,6 +338,8 @@ class ParallelExecutor:
         sweep publish artifacts incrementally so an interrupted run can
         resume from the last completed item.
         """
+        from repro.nn.backend import get_backend
+
         items = list(items)
         n = len(items)
         if self.seed is not None:
@@ -346,34 +347,21 @@ class ParallelExecutor:
         else:
             seeds = [None] * n
         jobs = min(self.jobs, n)
-        label = "serial" if jobs <= 1 else self.scheduler
-        sched = SchedulerStats(scheduler=label, workers=max(1, jobs), items=n)
-        self.last_schedule = sched
-        t0 = time.perf_counter()
-        with span("runtime/map", items=n, jobs=jobs, scheduler=label) as sp:
+        with span("runtime/map", items=n, jobs=jobs) as sp:
             # The map span is the parent of every item's spans, whether
             # the item runs in this process or in a pool worker (the
             # context rides along in each payload).  The kernel backend
             # rides along too: workers resolve the parent's *active*
             # selection, so jobs>1 is numerically identical to jobs=1
             # even under use_backend()/set_default_backend().
-            from repro.nn.backend import get_backend
-
-            trace_ctx = current_trace_context()
-            backend = get_backend().name
-            try:
-                if self._resilient:
-                    return self._map_resilient(fn, items, seeds, jobs,
-                                               trace_ctx, backend, on_result)
-                if jobs <= 1:
-                    return self._map_serial_fast(fn, items, seeds, on_result)
-
-                payloads = [(fn, item, s, trace_ctx, backend)
-                            for item, s in zip(items, seeds)]
-                chunk = self.chunk_size or default_chunk_size(n, jobs)
-                sp["chunk"] = chunk
+            run = _MapRun(fn, items, seeds, self._effective_policy(),
+                          self.fault_plan, current_trace_context(),
+                          get_backend().name, on_result)
+            if jobs <= 1:
+                run.drain_serial(range(n))
+            else:
                 try:
-                    return self._pool_map(payloads, jobs, chunk, on_result)
+                    run.drain_pool(jobs, list(range(n)))
                 except Exception as exc:
                     if not _is_fallback_error(exc):
                         raise
@@ -381,360 +369,17 @@ class ParallelExecutor:
                                 "running %d items serially",
                                 type(exc).__name__, exc, n)
                     sp["fallback"] = "serial"
-                    return self._map_serial_fast(fn, items, seeds, on_result)
-            finally:
-                # Scheduler accounting rides on the map span (a separate
-                # event would add a child to the trace tree and change
-                # its signature between serial and parallel runs).
-                sched.wall_s = time.perf_counter() - t0
-                if not sched.busy_s and jobs <= 1:
-                    # The serial paths run in the parent: busy == wall.
-                    sched.busy_s[0] = sched.wall_s
-                busy_hist = histogram("scheduler/worker_busy_s")
-                for busy in sched.busy_s.values():
-                    busy_hist.observe(busy)
-                if sched.steals:
-                    sp["steals"] = sched.steals
-                if sched.busy_s:
-                    sp["mean_efficiency"] = round(sched.mean_efficiency, 4)
+                    run.drain_serial(run.unfinished())
 
-    @staticmethod
-    def _map_serial_fast(fn, items, seeds, on_result) -> List[Any]:
-        results = []
-        for i, (item, s) in enumerate(zip(items, seeds)):
-            value = _call(fn, item, s)
-            if on_result is not None:
-                on_result(i, value)
-            results.append(value)
-        return results
-
-    def _pool_map(self, payloads, jobs: int, chunk: int,
-                  on_result) -> List[Any]:
-        import concurrent.futures
-        import multiprocessing
-
-        ctx = multiprocessing.get_context(self._start_method())
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, mp_context=ctx) as pool:
-            results = []
-            for i, value in enumerate(pool.map(_invoke, payloads,
-                                               chunksize=chunk)):
-                if on_result is not None:
-                    on_result(i, value)
-                results.append(value)
-            return results
-
-    # ------------------------------------------------------------------
-    # Resilient path
-    # ------------------------------------------------------------------
-    def _map_resilient(self, fn, items, seeds, jobs: int,
-                       trace_ctx: Optional[TraceContext],
-                       backend: Optional[str],
-                       on_result) -> List[Any]:
-        if self.policy is not None:
-            policy = self.policy
-        elif self.fault_plan is not None or self.on_error == "record":
-            policy = RetryPolicy()
-        else:
-            # Pure work-stealing (no supervision requested): keep the
-            # fast path's raise-on-first-error semantics — no retries.
-            policy = RetryPolicy(retries=0)
-        n = len(items)
-        results: List[Any] = [None] * n
-        done = [False] * n
-        attempts = [0] * n
-        errors: Dict[int, tuple] = {}       # index -> (kind, exception)
-        pending = list(range(n))
-
-        if jobs <= 1:
-            self._drain_serial(fn, items, seeds, pending, attempts, results,
-                               done, errors, policy, trace_ctx, backend,
-                               on_result)
-        else:
-            drain = (self._drain_stealing
-                     if self.scheduler == "work_stealing"
-                     else self._drain_pool)
-            try:
-                drain(fn, items, seeds, jobs, pending, attempts,
-                      results, done, errors, policy, trace_ctx, backend,
-                      on_result)
-            except Exception as exc:
-                if not _is_fallback_error(exc):
-                    raise
-                log.warning("process pool unavailable (%s: %s) — running "
-                            "%d items serially", type(exc).__name__, exc, n)
-                still = [i for i in range(n) if not done[i] and i not in errors]
-                self._drain_serial(fn, items, seeds, still, attempts, results,
-                                   done, errors, policy, trace_ctx, backend,
-                                   on_result)
-
-        for index, (kind, exc) in sorted(errors.items()):
-            failure = ItemFailure(index=index, kind=kind, error=str(exc),
-                                  attempts=attempts[index])
-            if self.on_error == "raise":
-                log.error("item %d terminally failed after %d attempts: %s",
-                          index, attempts[index], exc)
-                raise exc
-            results[index] = failure
-        return results
-
-    def _handle_outcome(self, outcome, attempts, results, done, errors,
-                        policy, on_result, retry_queue) -> None:
-        index, status, value = outcome
-        if status == "ok":
-            results[index] = value
-            done[index] = True
-            if on_result is not None:
-                on_result(index, value)
-            return
-        attempts[index] += 1
-        if status == "timeout":
-            counter("runtime/timeouts").inc()
-            event("runtime/timeout", item=index, attempt=attempts[index],
-                  timeout_s=policy.timeout_s)
-        if attempts[index] <= policy.retries:
-            counter("runtime/retries").inc()
-            event("runtime/retry", item=index, attempt=attempts[index],
-                  reason=status, error=str(value))
-            log.warning("item %d failed (%s: %s) — retry %d/%d", index,
-                        status, value, attempts[index], policy.retries)
-            retry_queue.append(index)
-        else:
-            counter("runtime/giveups").inc()
-            event("runtime/giveup", item=index, attempts=attempts[index],
-                  reason=status, error=str(value))
-            errors[index] = (status, value)
-
-    def _drain_serial(self, fn, items, seeds, pending, attempts, results,
-                      done, errors, policy, trace_ctx, backend,
-                      on_result) -> None:
-        """In-process resilient loop (jobs=1 and the pool-less fallback)."""
-        queue = list(pending)
-        while queue:
-            index = queue.pop(0)
-            time.sleep(policy.delay(attempts[index]))
-            outcome = _run_one(fn, items[index], seeds[index], index,
-                               attempts[index], policy.timeout_s,
-                               self.fault_plan, trace_ctx, in_worker=False,
-                               backend=backend)
-            self._handle_outcome(outcome, attempts, results, done, errors,
-                                 policy, on_result, queue)
-
-    def _drain_pool(self, fn, items, seeds, jobs, pending, attempts, results,
-                    done, errors, policy, trace_ctx, backend,
-                    on_result) -> None:
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
-
-        import multiprocessing
-
-        ctx = multiprocessing.get_context(self._start_method())
-        chunk = self.chunk_size or default_chunk_size(len(items), jobs)
-        pool = None
-        broken_rounds = 0
-        try:
-            while pending:
-                if pool is None:
-                    pool = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=min(jobs, len(pending)), mp_context=ctx)
-                delay = max((policy.delay(attempts[i]) for i in pending),
-                            default=0.0)
-                time.sleep(delay)
-                futures = {}
-                for start in range(0, len(pending), chunk):
-                    chunk_indices = pending[start:start + chunk]
-                    payloads = [
-                        (fn, items[i], seeds[i], i, attempts[i],
-                         policy.timeout_s, self.fault_plan, trace_ctx,
-                         backend)
-                        for i in chunk_indices
-                    ]
-                    futures[pool.submit(_invoke_chunk, payloads)] = chunk_indices
-                retry_queue: List[int] = []
-                round_broken = False
-                for fut in concurrent.futures.as_completed(futures):
-                    chunk_indices = futures[fut]
-                    try:
-                        outcomes = fut.result()
-                    except BrokenProcessPool as exc:
-                        # Only this chunk's items are re-dispatched; the
-                        # crash counts as one attempt against each of
-                        # them (the culprit is unknowable — its output
-                        # died with the worker).
-                        round_broken = True
-                        log.warning("worker crashed; re-dispatching chunk "
-                                    "of %d items %s", len(chunk_indices),
-                                    chunk_indices)
-                        for i in chunk_indices:
-                            self._handle_outcome(
-                                (i, "crash", exc), attempts, results, done,
-                                errors, policy, on_result, retry_queue)
-                        continue
-                    for outcome in outcomes:
-                        self._handle_outcome(outcome, attempts, results, done,
-                                             errors, policy, on_result,
-                                             retry_queue)
-                if round_broken:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
-                    broken_rounds += 1
-                    if broken_rounds >= 3 and retry_queue:
-                        # The pool itself looks unusable (e.g. every fork
-                        # dies); stop burning retries on it.
-                        log.warning("%d consecutive broken rounds — "
-                                    "finishing %d items serially",
-                                    broken_rounds, len(retry_queue))
-                        self._drain_serial(fn, items, seeds, retry_queue,
-                                           attempts, results, done, errors,
-                                           policy, trace_ctx, backend,
-                                           on_result)
-                        retry_queue = []
-                else:
-                    broken_rounds = 0
-                pending = retry_queue
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def _drain_stealing(self, fn, items, seeds, jobs, pending, attempts,
-                        results, done, errors, policy, trace_ctx, backend,
-                        on_result) -> None:
-        """Work-stealing drain: per-slot deques of contiguous runs.
-
-        The parent owns ``jobs`` deques, each seeded with a contiguous
-        run of the pending indices, and keeps exactly one lease (a small
-        batch of ``chunk_size`` items, default 1) in flight per slot.  A
-        slot whose deque drains steals **half of the largest remaining
-        deque, from the back** — the classic steal-half heuristic:
-        taking from the back preserves the victim's cache-friendly
-        front-to-back progress, and halving keeps the thief busy long
-        enough that steals stay rare (O(workers · log(items/chunk))).
-
-        Faults follow :meth:`_drain_pool`'s contract: a
-        ``BrokenProcessPool`` counts one crash attempt against the
-        in-flight lease's items, the pool is rebuilt, and three broken
-        rounds in a row finish the remainder serially.
-        """
-        import concurrent.futures
-        import multiprocessing
-        from collections import deque
-        from concurrent.futures.process import BrokenProcessPool
-
-        ctx = multiprocessing.get_context(self._start_method())
-        lease_size = self.chunk_size or 1
-        sched = self.last_schedule
-        steals = counter("scheduler/steals")
-        leases = counter("scheduler/leases")
-        pool = None
-        broken_rounds = 0
-        round_items = sorted(pending)
-        try:
-            while round_items:
-                workers = min(jobs, len(round_items))
-                if pool is None:
-                    pool = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=workers, mp_context=ctx)
-                time.sleep(max((policy.delay(attempts[i])
-                                for i in round_items), default=0.0))
-                # Contiguous runs, one per slot, mirroring how static
-                # chunking would have carved the index space.
-                deques: List[deque] = []
-                base, extra = divmod(len(round_items), workers)
-                cursor = 0
-                for slot in range(workers):
-                    take = base + (1 if slot < extra else 0)
-                    deques.append(deque(round_items[cursor:cursor + take]))
-                    cursor += take
-
-                def next_lease(slot: int) -> List[int]:
-                    own = deques[slot]
-                    if not own:
-                        victim = max(range(workers),
-                                     key=lambda j: len(deques[j]))
-                        loot = deques[victim]
-                        if not loot:
-                            return []
-                        grabbed = [loot.pop()
-                                   for _ in range(max(1, len(loot) // 2))]
-                        grabbed.reverse()
-                        own.extend(grabbed)
-                        steals.inc()
-                        if sched is not None:
-                            sched.steals += 1
-                    return [own.popleft()
-                            for _ in range(min(lease_size, len(own)))]
-
-                def submit(slot: int, lease: List[int]) -> None:
-                    payloads = [(fn, items[i], seeds[i], i, attempts[i],
-                                 policy.timeout_s, self.fault_plan, trace_ctx,
-                                 backend)
-                                for i in lease]
-                    inflight[pool.submit(_invoke_lease, payloads)] = (slot,
-                                                                      lease)
-                    leases.inc()
-                    if sched is not None:
-                        sched.leases += 1
-
-                inflight: Dict[Any, tuple] = {}
-                retry_queue: List[int] = []
-                round_broken = False
-                for slot in range(workers):
-                    lease = next_lease(slot)
-                    if lease:
-                        submit(slot, lease)
-                while inflight:
-                    finished, _ = concurrent.futures.wait(
-                        inflight, return_when=concurrent.futures.
-                        FIRST_COMPLETED)
-                    for fut in finished:
-                        slot, lease = inflight.pop(fut)
-                        try:
-                            busy_s, outcomes = fut.result()
-                        except BrokenProcessPool as exc:
-                            round_broken = True
-                            log.warning("worker crashed; re-dispatching "
-                                        "lease of %d items %s", len(lease),
-                                        lease)
-                            for i in lease:
-                                self._handle_outcome(
-                                    (i, "crash", exc), attempts, results,
-                                    done, errors, policy, on_result,
-                                    retry_queue)
-                            continue
-                        if sched is not None:
-                            sched.busy_s[slot] = (sched.busy_s.get(slot, 0.0)
-                                                  + busy_s)
-                        for outcome in outcomes:
-                            self._handle_outcome(outcome, attempts, results,
-                                                 done, errors, policy,
-                                                 on_result, retry_queue)
-                        if not round_broken:
-                            lease = next_lease(slot)
-                            if lease:
-                                submit(slot, lease)
-                # Items still sitting in deques after a broken round were
-                # never attempted; carry them into the next round as-is.
-                leftover = [i for dq in deques for i in dq]
-                if round_broken:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
-                    broken_rounds += 1
-                    if broken_rounds >= 3 and (retry_queue or leftover):
-                        remainder = sorted(retry_queue + leftover)
-                        log.warning("%d consecutive broken rounds — "
-                                    "finishing %d items serially",
-                                    broken_rounds, len(remainder))
-                        self._drain_serial(fn, items, seeds, remainder,
-                                           attempts, results, done, errors,
-                                           policy, trace_ctx, backend,
-                                           on_result)
-                        retry_queue, leftover = [], []
-                else:
-                    broken_rounds = 0
-                round_items = sorted(retry_queue + leftover)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            for index, (kind, exc) in sorted(run.errors.items()):
+                if self.on_error == "raise":
+                    log.error("item %d terminally failed after %d attempts: "
+                              "%s", index, run.attempts[index], exc)
+                    raise exc
+                run.results[index] = ItemFailure(
+                    index=index, kind=kind, error=str(exc),
+                    attempts=run.attempts[index])
+            return run.results
 
 
 def _is_fallback_error(exc: BaseException) -> bool:
@@ -754,18 +399,13 @@ def _is_fallback_error(exc: BaseException) -> bool:
 
 def parallel_map(fn: Callable, items: Iterable[Any], *,
                  jobs: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
                  seed: Optional[int] = None,
-                 mp_context: Optional[str] = None,
                  policy: Optional[RetryPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  on_error: str = "raise",
-                 scheduler: str = "static",
                  on_result: Optional[Callable[[int, Any], None]] = None
                  ) -> List[Any]:
     """One-shot :meth:`ParallelExecutor.map` (see class for semantics)."""
-    executor = ParallelExecutor(jobs, chunk_size=chunk_size, seed=seed,
-                                mp_context=mp_context, policy=policy,
-                                fault_plan=fault_plan, on_error=on_error,
-                                scheduler=scheduler)
+    executor = ParallelExecutor(jobs, seed=seed, policy=policy,
+                                fault_plan=fault_plan, on_error=on_error)
     return executor.map(fn, items, on_result=on_result)

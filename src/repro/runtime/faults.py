@@ -7,7 +7,7 @@ should be assumed broken.  This module makes the failure paths testable
 by injecting *deterministic* faults keyed by work-item index:
 
 * **crash** — the worker process exits hard (``os._exit``), producing a
-  ``BrokenProcessPool`` for the chunk that contained the item.
+  ``BrokenProcessPool`` for every item still in flight in the pool.
 * **timeout** — the item sleeps past the executor's per-item timeout so
   the SIGALRM watchdog fires (:class:`ItemTimeout`).
 * **transient** — the item raises :class:`InjectedFault`; a retry

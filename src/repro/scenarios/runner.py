@@ -316,8 +316,7 @@ def run_scenarios(cells: Sequence[SweepCell],
                   contexts: Mapping[str, ExperimentContext], *,
                   jobs: Optional[int] = None, resume: bool = False,
                   policy: Optional[RetryPolicy] = None,
-                  fault_plan: Optional[FaultPlan] = None,
-                  scheduler: str = "static"
+                  fault_plan: Optional[FaultPlan] = None
                   ) -> Dict[str, ScenarioOutcome]:
     """Run every cell, fanning uncached ones out across ``jobs`` workers.
 
@@ -327,10 +326,8 @@ def run_scenarios(cells: Sequence[SweepCell],
     atomically-rewritten manifest; ``resume=True`` load-verifies cached
     outcomes (a corrupt document counts as missing) so interrupted
     sweeps restart from the last completed cell.  ``fault_plan``
-    injects deterministic chaos into the workers (``--inject-faults``),
-    and ``scheduler`` selects the executor dispatch strategy
-    (``"work_stealing"`` keeps workers dense when cell costs are
-    skewed; the outcome documents are byte-identical either way).
+    injects deterministic chaos into the workers (``--inject-faults``);
+    the outcome documents are byte-identical with or without it.
     Returns every requested cell's outcome, keyed by scenario id.
     """
     cells = sorted(cells, key=lambda c: (c.scenario.scenario_id, c.seed))
@@ -345,7 +342,7 @@ def run_scenarios(cells: Sequence[SweepCell],
 
     ckpt_ctx = contexts[cells[0].scenario.dataset] if cells else None
     with span("scenario/sweep", cells=len(cells), todo=len(todo),
-              jobs=jobs, resume=resume or None, scheduler=scheduler) as evt:
+              jobs=jobs, resume=resume or None) as evt:
         if todo:
             ckpt_key = _checkpoint_key(cells, contexts)
             manifest = None
@@ -407,13 +404,10 @@ def run_scenarios(cells: Sequence[SweepCell],
                 manifest["done"][cell.scenario.scenario_id] = {"key": key}
                 save_manifest()
 
-            executor = ParallelExecutor(jobs, chunk_size=1, policy=policy,
+            executor = ParallelExecutor(jobs, policy=policy,
                                         fault_plan=fault_plan,
-                                        on_error="record",
-                                        scheduler=scheduler)
+                                        on_error="record")
             outputs = executor.map(_run_cell, payloads, on_result=publish)
-            if executor.last_schedule is not None:
-                evt["steals"] = executor.last_schedule.steals or None
             for cell, output in zip(todo, outputs):
                 if isinstance(output, ItemFailure):
                     sid = cell.scenario.scenario_id

@@ -5,13 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime.executor import (
-    SCHEDULERS,
-    ParallelExecutor,
-    default_chunk_size,
-    parallel_map,
-    resolve_jobs,
-)
+from repro.runtime.executor import ParallelExecutor, parallel_map, resolve_jobs
 from repro.runtime.faults import ItemFailure
 
 
@@ -30,6 +24,12 @@ def _fail_on_three(x):
     return x
 
 
+def _fail_from_two(x):
+    if x >= 2:
+        raise ValueError(f"boom {x}")
+    return x
+
+
 class TestResolveJobs:
     def test_none_and_zero_mean_all_cores(self):
         assert resolve_jobs(None) >= 1
@@ -42,36 +42,6 @@ class TestResolveJobs:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             resolve_jobs(-2)
-
-
-class TestChunkSize:
-    def test_four_chunks_per_worker(self):
-        assert default_chunk_size(64, 4) == 4
-        assert default_chunk_size(3, 4) == 1
-
-    def test_degenerate_inputs(self):
-        assert default_chunk_size(0, 4) == 1
-        assert default_chunk_size(10, 0) == 1
-
-    @pytest.mark.parametrize("n_items,jobs", [
-        (1, 8), (2, 16), (7, 8), (8, 8),       # fewer items than slots
-        (9, 8), (31, 8), (33, 8),              # just over slot counts
-        (1, 1), (10_000, 1), (10_000, 64),     # extremes
-        (1_000_000, 3),
-    ])
-    def test_grid_always_at_least_one(self, n_items, jobs):
-        """Regression for the n_items < jobs edge case: the chunk size
-        must stay >= 1 for every grid point, never 0."""
-        chunk = default_chunk_size(n_items, jobs)
-        assert chunk >= 1
-        assert isinstance(chunk, int)
-        if n_items and jobs:
-            # Never so large that a single chunk starves other workers
-            # (ceil keeps at most ~4 chunks per worker).
-            assert chunk <= max(1, -(-n_items // jobs))
-
-    def test_float_inputs_coerced(self):
-        assert default_chunk_size(64.0, 4.0) == 4
 
 
 class TestSerialPath:
@@ -98,7 +68,7 @@ class TestParallelPath:
 
     def test_order_preserved_with_chunking(self):
         items = list(range(17))
-        out = parallel_map(_square, items, jobs=2, chunk_size=3)
+        out = parallel_map(_square, items, jobs=2)
         assert out == [x * x for x in items]
 
     def test_ndarray_payloads_round_trip(self):
@@ -109,6 +79,11 @@ class TestParallelPath:
     def test_exceptions_propagate(self):
         with pytest.raises(RuntimeError):
             parallel_map(_fail_on_three, [1, 2, 3, 4], jobs=2)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_lowest_index_failure_raised(self, jobs):
+        with pytest.raises(ValueError, match="boom 2"):
+            parallel_map(_fail_from_two, [0, 1, 2, 3, 4, 5], jobs=jobs)
 
 
 class TestSeeding:
@@ -150,60 +125,33 @@ class TestSerialFallback:
 
 
 def _slow_square(x):
-    # Heterogeneous cost: item 0 is a straggler, so a static split
-    # leaves idle slots for work-stealing to fill.
+    # Heterogeneous cost: item 0 is a straggler that the other workers
+    # must not wait behind.
     if x == 0:
         time.sleep(0.05)
     return x * x
 
 
 class TestWorkStealing:
-    def test_invalid_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(2, scheduler="mystery")
-        with pytest.raises(ValueError):
-            parallel_map(_square, [1], jobs=2, scheduler="mystery")
+    """jobs>1 dispatch, one item per pool future: whichever worker frees
+    up first takes the next item, so a straggler holds up only its own
+    worker — without changing a result."""
 
     def test_results_identical_to_serial_and_static(self):
-        """Stealing only moves work between slots; per-item-index seeding
-        makes the three dispatch strategies bitwise interchangeable."""
+        """Per-item-index seeding makes worker assignment invisible."""
         items = [0.0] * 17
         serial = parallel_map(_noisy, items, jobs=1, seed=42)
-        static = parallel_map(_noisy, items, jobs=4, seed=42)
-        stolen = parallel_map(_noisy, items, jobs=4, seed=42,
-                              scheduler="work_stealing")
-        assert stolen == serial == static
-
-    def test_schedule_stats_populated(self):
-        ex = ParallelExecutor(4, scheduler="work_stealing")
-        out = ex.map(_square, list(range(23)))
-        assert out == [x * x for x in range(23)]
-        sched = ex.last_schedule
-        assert sched is not None
-        assert sched.scheduler == "work_stealing"
-        assert sched.items == 23
-        assert sched.leases >= 23 / max(1, ex.chunk_size or 1) - 1
-        assert sched.steals >= 0
-        assert sched.wall_s > 0
-        assert all(b >= 0 for b in sched.busy_s.values())
-        eff = sched.worker_efficiency()
-        assert all(0 <= e <= 1.5 for e in eff.values())
-
-    def test_serial_map_records_full_efficiency(self):
-        ex = ParallelExecutor(1)
-        ex.map(_square, [1, 2, 3])
-        sched = ex.last_schedule
-        assert sched.scheduler == "serial"
-        assert sched.busy_s == {0: sched.wall_s}
+        two = parallel_map(_noisy, items, jobs=2, seed=42)
+        four = parallel_map(_noisy, items, jobs=4, seed=42)
+        assert four == two == serial
 
     def test_exceptions_propagate(self):
         with pytest.raises(RuntimeError):
-            parallel_map(_fail_on_three, [1, 2, 3, 4], jobs=2,
-                         scheduler="work_stealing")
+            parallel_map(_fail_on_three, [1, 2, 3, 4], jobs=2)
 
     def test_on_error_record_collects_failures(self):
         out = parallel_map(_fail_on_three, [1, 2, 3, 4], jobs=2,
-                           scheduler="work_stealing", on_error="record")
+                           on_error="record")
         assert out[0] == 1 and out[1] == 2 and out[3] == 4
         assert isinstance(out[2], ItemFailure)
         assert out[2].kind == "error"
@@ -211,9 +159,4 @@ class TestWorkStealing:
     def test_straggler_profile_matches_serial(self):
         items = list(range(12))
         expected = [x * x for x in items]
-        stolen = parallel_map(_slow_square, items, jobs=3,
-                              scheduler="work_stealing")
-        assert stolen == expected
-
-    def test_schedulers_tuple_exported(self):
-        assert SCHEDULERS == ("static", "work_stealing")
+        assert parallel_map(_slow_square, items, jobs=3) == expected

@@ -2,8 +2,9 @@
 
 The ISSUE acceptance scenarios, as tests:
 
-* a crashed worker re-dispatches only the chunk that died with it —
-  items in already-completed chunks run exactly once;
+* a crashed worker re-dispatches only the items whose futures died with
+  the pool — an item whose result already reached the parent never
+  runs again;
 * a timed-out item is retried and, once its budget is spent, recorded
   as a terminal :class:`ItemFailure` at its position without aborting
   the rest of the map;
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -60,9 +62,9 @@ def _logged_worker(item, seed=None):
     """Append this item's value to a log file, then return it doubled.
 
     The CRASH_SENTINEL item hard-exits its worker process — but only on
-    its first attempt (a marker file remembers), and only after the
-    sibling chunk's items appear in the log, so the pool break cannot
-    race ahead of healthy futures and the test stays deterministic.
+    its first attempt (a marker file remembers), and only after items 0
+    and 1 appear in the log, so the pool break cannot race ahead of
+    every healthy future.
     """
     log_path, marker_dir, value = item
     if value == CRASH_SENTINEL:
@@ -200,24 +202,36 @@ class TestCorruptCacheEntry:
 # ----------------------------------------------------------------------
 class TestCrashRedispatch:
     def test_only_dead_chunk_is_redispatched(self, tmp_path):
-        """Scenario (a): a worker crash retries its chunk, nothing else."""
+        """Scenario (a): a worker crash re-dispatches only unfinished items.
+
+        A pool break can take down any future still in flight, so the
+        run count of those items is not fixed; an item whose
+        ``on_result`` already fired, though, must never run again.
+        """
         log_path = str(tmp_path / "runs.log")
         items = [(log_path, str(tmp_path), v) for v in (0, 1, CRASH_SENTINEL, 3)]
-        executor = ParallelExecutor(2, chunk_size=2,
-                                    policy=RetryPolicy(retries=2,
-                                                       backoff_s=0.01))
-        results = executor.map(_logged_worker, items)
+
+        def runs():
+            with open(log_path) as fh:
+                return fh.read().split()
+
+        runs_at_result = {}
+
+        def on_result(index, value):
+            runs_at_result[index] = runs().count(str(items[index][2]))
+
+        executor = ParallelExecutor(2, policy=RetryPolicy(retries=2,
+                                                          backoff_s=0.01))
+        results = executor.map(_logged_worker, items, on_result=on_result)
         assert results == [0, 2, CRASH_SENTINEL * 2, 6]
 
-        with open(log_path) as fh:
-            runs = fh.read().split()
-        # Items 0 and 1 sat in the surviving chunk: exactly one run each.
-        assert runs.count("0") == 1
-        assert runs.count("1") == 1
-        # The dead chunk re-ran: the crash item logs only on attempt 2,
-        # and its chunk-mate never got to run on attempt 1.
-        assert runs.count(str(CRASH_SENTINEL)) == 1
-        assert runs.count("3") == 1
+        final = runs()
+        assert sorted(runs_at_result) == [0, 1, 2, 3]
+        for index, count in runs_at_result.items():
+            assert count >= 1
+            assert final.count(str(items[index][2])) == count
+        # The crash item logs only on the attempt after its crash.
+        assert final.count(str(CRASH_SENTINEL)) == 1
 
     def test_serial_path_survives_injected_crash(self):
         """On the serial path a crash fault must not kill the process."""
@@ -262,6 +276,26 @@ class TestTimeoutHandling:
         results = parallel_map(_double, [5, 6], jobs=jobs, fault_plan=plan,
                                policy=policy)
         assert results == [10, 12]
+
+
+class TestWatchdogOffMainThread:
+    def test_timeout_policy_off_main_thread_runs_items_unwatched(self):
+        """SIGALRM handlers can only be installed on the main thread; a
+        serial map with a timeout on another thread must still run its
+        items instead of failing each one."""
+        out = {}
+
+        def target():
+            out["results"] = parallel_map(
+                abs, [-1, -2], jobs=1,
+                policy=RetryPolicy(timeout_s=5, retries=0, backoff_s=0),
+                on_error="record")
+
+        worker = threading.Thread(target=target)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert out["results"] == [1, 2]
 
 
 class TestDeterminismUnderFaults:
@@ -440,31 +474,31 @@ class TestSweepResume:
 
 
 class TestWorkStealingChaos:
-    """ISSUE 8: chaos injected into stolen-work sweeps must not change a
-    bit relative to the clean serial baseline."""
+    """Chaos injected into jobs>1 maps, where any worker may take any
+    item, must not change a bit relative to the clean serial baseline."""
 
     def test_stolen_faulted_equals_serial_clean(self):
         items = list(range(10))
         clean = parallel_map(_seeded_draw, items, jobs=1, seed=77)
         plan = FaultPlan(transients={1: 1, 5: 2})
         chaotic = parallel_map(_seeded_draw, items, jobs=3, seed=77,
-                               scheduler="work_stealing", fault_plan=plan,
+                               fault_plan=plan,
                                policy=RetryPolicy(retries=3, backoff_s=0.0))
         for a, b in zip(clean, chaotic):
             assert a.tobytes() == b.tobytes()
 
     def test_stolen_crash_redispatch_recovers(self):
-        """A worker crash under work-stealing is re-leased and retried."""
+        """A worker crash at jobs>1 is re-dispatched and retried."""
         plan = FaultPlan(crashes={2: 1})
         out = parallel_map(_double, [1, 2, 3, 4, 5], jobs=2,
-                           scheduler="work_stealing", fault_plan=plan,
+                           fault_plan=plan,
                            policy=RetryPolicy(retries=2, backoff_s=0.01))
         assert out == [2, 4, 6, 8, 10]
 
     def test_stolen_chaos_sweep_bitwise_identical(self, sweep_ctx,
                                                   baseline_hashes):
-        """Transients + corruption under the stealing scheduler still
-        reproduce the serial sweep's artifacts exactly."""
+        """Transients + corruption in a jobs=2 sweep still reproduce the
+        serial sweep's artifacts exactly."""
         from repro.experiments import sweeps
 
         ctx = sweep_ctx
@@ -473,10 +507,52 @@ class TestWorkStealingChaos:
         summary = sweeps.precompute_attacks(ctx, kappas=SWEEP_KAPPAS,
                                             betas=SWEEP_BETAS, jobs=2,
                                             policy=SWEEP_POLICY,
-                                            fault_plan=plan,
-                                            scheduler="work_stealing")
-        assert summary["scheduler"] == "work_stealing"
+                                            fault_plan=plan)
         assert summary["computed"] == 2
         assert summary["failed"] == 0
         assert summary["healed"] >= 1
         assert _grid_hashes(ctx) == baseline_hashes
+
+
+class TestRunExperimentSupervision:
+    def test_fault_plan_fires_at_jobs_1(self, tmp_path):
+        """``run --jobs 1 --inject-faults``: the plan must reach the sweep
+        (a transient fires and is retried), and the published artifacts
+        and report must match a clean jobs=1 run bit for bit."""
+        import dataclasses
+
+        from repro.experiments import SMOKE, registry, sweeps
+        from repro.obs import counter
+        from repro.utils.cache import stable_hash
+
+        profile = dataclasses.replace(
+            SMOKE, name="fault-probe", digits_sizes=(400, 100, 200),
+            digits_attack=4, max_iterations=10, binary_search_steps=1,
+            digits_kappas=(0.0,), betas=(1e-1,), ae_epochs=3,
+            classifier_epochs=2)
+        cache = DiskCache(tmp_path)
+
+        def attack_hashes(ctx):
+            return {key: stable_hash(ctx.cache.load("attacks", key))
+                    for cell in sweeps.attack_grid(ctx)
+                    for key in sweeps._cell_keys(ctx, cell).values()}
+
+        registry.clear_contexts()
+        try:
+            retries = counter("runtime/retries")
+            before = retries.value
+            faulted = registry.run_experiment(
+                "fig1", profile=profile, cache=cache, jobs=1,
+                fault_plan=FaultPlan(transients={0: 1}),
+                retry_policy=RetryPolicy(retries=2, backoff_s=0.0))
+            assert retries.value - before >= 1
+            ctx = registry.get_context("digits", profile, cache)
+            chaotic = attack_hashes(ctx)
+
+            assert ctx.cache.clear("attacks") > 0
+            clean = registry.run_experiment("fig1", profile=profile,
+                                            cache=cache, jobs=1)
+            assert attack_hashes(ctx) == chaotic
+            assert clean.data == faulted.data
+        finally:
+            registry.clear_contexts()

@@ -217,24 +217,22 @@ class TestRunScenarios:
         assert after == before
 
     def test_stolen_work_outcomes_byte_identical(self, smoke_ctx, mini_cells):
-        """ISSUE 8: the work-stealing scheduler republishes every outcome
-        document byte-identical to the serial and static-chunk paths."""
+        """A jobs=2 sweep, where any worker may take any cell, republishes
+        every outcome document byte-identical to the serial run."""
         contexts = {"digits": smoke_ctx}
         run_scenarios(mini_cells, contexts, jobs=1)
         baseline = _outcome_bytes(smoke_ctx, mini_cells)
 
-        for scheduler in ("static", "work_stealing"):
-            for cell in mini_cells:
-                key = scenario_cell_key(smoke_ctx, cell)
-                smoke_ctx.cache._json_path(OUTCOME_NAMESPACE, key).unlink()
-            outcomes = run_scenarios(mini_cells, contexts, jobs=2,
-                                     scheduler=scheduler)
-            assert len(outcomes) == len(mini_cells)
-            assert _outcome_bytes(smoke_ctx, mini_cells) == baseline
+        for cell in mini_cells:
+            key = scenario_cell_key(smoke_ctx, cell)
+            smoke_ctx.cache._json_path(OUTCOME_NAMESPACE, key).unlink()
+        outcomes = run_scenarios(mini_cells, contexts, jobs=2)
+        assert len(outcomes) == len(mini_cells)
+        assert _outcome_bytes(smoke_ctx, mini_cells) == baseline
 
     def test_chaotic_stolen_sweep_byte_identical(self, smoke_ctx, mini_cells):
-        """FaultPlan chaos under work-stealing must not change a byte of
-        any outcome document."""
+        """FaultPlan chaos in a jobs=2 sweep must not change a byte of any
+        outcome document."""
         from repro.runtime.faults import FaultPlan, RetryPolicy
 
         contexts = {"digits": smoke_ctx}
@@ -245,7 +243,7 @@ class TestRunScenarios:
             key = scenario_cell_key(smoke_ctx, cell)
             smoke_ctx.cache._json_path(OUTCOME_NAMESPACE, key).unlink()
         outcomes = run_scenarios(
-            mini_cells, contexts, jobs=2, scheduler="work_stealing",
+            mini_cells, contexts, jobs=2,
             fault_plan=FaultPlan(transients={0: 1, 2: 1}),
             policy=RetryPolicy(retries=3, backoff_s=0.01))
         assert len(outcomes) == len(mini_cells)

@@ -145,7 +145,8 @@ def _verdict_equality_check(magnet, inputs, n: int = 32) -> bool:
     Per-row BLAS results are not bitwise stable across batch *shapes*,
     so the check pins the composition: all n requests are queued before
     the worker starts with max_batch=n, producing one flush whose
-    stacked input equals the offline batch exactly.
+    stacked input equals the offline batch exactly.  Scores, flags and
+    labels must match exactly — equality, not tolerance.
     """
     from repro.serving import InferenceService, ServingConfig
 
@@ -167,7 +168,10 @@ def _verdict_equality_check(magnet, inputs, n: int = 32) -> bool:
                 or v.detected != bool(offline.detected[i])):
             return False
         for d, det in enumerate(magnet.detectors):
-            if v.detector_flags[det.name] != bool(offline.detector_flags[d, i]):
+            if (v.detector_flags[det.name]
+                    != bool(offline.detector_flags[d, i])
+                    or v.detector_scores[det.name]
+                    != float(offline.detector_scores[d, i])):
                 return False
     return True
 
@@ -443,7 +447,8 @@ def main(argv=None) -> int:
                         help="model cache for conv (default: fresh temp dir)")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_serving.json"))
     parser.add_argument("--quick", action="store_true",
-                        help="CI mode: skip the closed-loop rounds, run a "
+                        help="CI mode: skip the closed-loop rounds, run "
+                             "the in-process verdict equality check and a "
                              "small cluster pass (2 workers, 2 models, "
                              "bitwise equivalence + crash recovery)")
     parser.add_argument("--cluster-workers", type=int, default=2,
@@ -458,13 +463,19 @@ def main(argv=None) -> int:
     out_path = Path(args.out)
 
     if args.quick:
+        print("[bench_serving] verdict equality check (dense) ...", flush=True)
+        identical = _verdict_equality_check(*_build_dense_magnet())
+        if not identical:
+            print("[bench_serving] FAIL: serving verdicts differ from offline "
+                  "MagNet", file=sys.stderr)
         cluster = _run_cluster_bench(
             workers=args.cluster_workers, n_models=args.cluster_models,
             probe=96, requests=200, quick=True)
         _merge_results(out_path, {"cluster": cluster,
                                   "cpu_count": os.cpu_count()})
         print(json.dumps({"cluster": cluster}, indent=2))
-        return 0 if _cluster_gates(cluster, require_shed=False) else 1
+        gates_ok = _cluster_gates(cluster, require_shed=False)
+        return 0 if identical and gates_ok else 1
 
     from repro.serving import ServingConfig
 

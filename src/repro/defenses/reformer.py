@@ -10,29 +10,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, no_grad
+from repro.defenses.detectors import FORWARD_BATCH
 from repro.nn.layers import Module
+from repro.nn.training import predict_logits
+
+
+def clip_pixels(recon: np.ndarray) -> np.ndarray:
+    """Clip a reconstruction into the valid pixel box, as float32."""
+    return np.clip(recon, 0.0, 1.0).astype(np.float32)
 
 
 class Reformer:
     """Autoencoder-based input rectifier."""
 
-    def __init__(self, autoencoder: Module, batch_size: int = 256):
+    def __init__(self, autoencoder: Module):
         self.autoencoder = autoencoder
-        self.batch_size = batch_size
 
     def reform(self, x: np.ndarray) -> np.ndarray:
         """Return AE(x), clipped into the valid pixel box."""
         x = np.asarray(x, dtype=np.float32)
         if x.shape[0] == 0:
             return x.copy()
-        outs = []
-        with no_grad():
-            for start in range(0, x.shape[0], self.batch_size):
-                batch = self.autoencoder(Tensor(x[start:start + self.batch_size]))
-                outs.append(batch.data)
-        reformed = np.concatenate(outs, axis=0)
-        return np.clip(reformed, 0.0, 1.0).astype(np.float32)
+        return clip_pixels(predict_logits(self.autoencoder, x, FORWARD_BATCH))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.reform(x)

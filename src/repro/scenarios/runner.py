@@ -35,7 +35,7 @@ from repro.attacks.ead import EAD
 from repro.attacks.graybox import ReformedModel
 from repro.datasets.corruptions import corrupt
 from repro.defenses.magnet import MagNet
-from repro.evaluation.metrics import defense_breakdown
+from repro.evaluation.metrics import DefenseBreakdown
 from repro.experiments.context import ExperimentContext
 from repro.models.classifiers import ScaledLogits
 from repro.nn.layers import Module
@@ -196,9 +196,10 @@ def execute_scenario(scenario: Scenario, *, classifier: Module,
 def score_scenario(scenario: Scenario, magnet: MagNet, x0: np.ndarray,
                    x_adv: np.ndarray, y0: np.ndarray, *, seed: int,
                    craft_success: float) -> ScenarioOutcome:
-    """Score already-crafted inputs with the full MagNet decision."""
+    """Score already-crafted inputs with one full MagNet decision."""
     decision = magnet.decide(x_adv)
     y0 = np.asarray(y0)
+    breakdown = DefenseBreakdown.from_decision(decision, y0)
     delta = (np.asarray(x_adv, dtype=np.float64)
              - np.asarray(x0, dtype=np.float64)).reshape(len(y0), -1)
     return ScenarioOutcome(
@@ -211,7 +212,8 @@ def score_scenario(scenario: Scenario, magnet: MagNet, x0: np.ndarray,
         seed=int(seed),
         n=int(len(y0)),
         craft_success_rate=craft_success,
-        attack_success_rate=magnet.attack_success_rate(x_adv, y0),
+        # MagNet.attack_success_rate, read off the same decision.
+        attack_success_rate=1.0 - breakdown.full if len(y0) else 0.0,
         misclassification_rate=float(
             (decision.labels_reformed != y0).mean()),
         detection_rate=float(decision.detected.mean()),
@@ -219,7 +221,7 @@ def score_scenario(scenario: Scenario, magnet: MagNet, x0: np.ndarray,
         undefended_error_rate=float((decision.labels_raw != y0).mean()),
         mean_l1=float(np.abs(delta).sum(axis=1).mean()),
         mean_l2=float(np.sqrt((delta ** 2).sum(axis=1)).mean()),
-        breakdown=defense_breakdown(magnet, x_adv, y0).as_dict(),
+        breakdown=breakdown.as_dict(),
     )
 
 

@@ -79,6 +79,58 @@ def _calibrated_magnet(reformer_value=None):
     return magnet
 
 
+class _FailingDetector(ReconstructionDetector):
+    """Scores like its parent until told to fail."""
+
+    fail = False
+
+    def score_from(self, memo):
+        if self.fail:
+            raise RuntimeError("scoring failed")
+        return super().score_from(memo)
+
+
+class TestCalibrateValidation:
+    """Bad calibration input is rejected before any threshold moves."""
+
+    def _toy(self):
+        from repro.serving.smoke import build_toy_magnet
+        return build_toy_magnet()
+
+    def test_empty_validation_set_rejected(self):
+        magnet = self._toy()
+        before = [det.threshold for det in magnet.detectors]
+        with pytest.raises(ValueError, match="empty"):
+            magnet.calibrate(np.zeros((0, 64), np.float32))
+        assert [det.threshold for det in magnet.detectors] == before
+
+    @pytest.mark.parametrize("fpr_total", [1.5, 1.0, 0.0, -0.1])
+    def test_fpr_total_outside_unit_interval_rejected(self, fpr_total):
+        magnet = self._toy()
+        before = [det.threshold for det in magnet.detectors]
+        x_val = np.random.default_rng(0).random((32, 64)).astype(np.float32)
+        with pytest.raises(ValueError, match="fpr_total"):
+            magnet.calibrate(x_val, fpr_total=fpr_total)
+        assert [det.threshold for det in magnet.detectors] == before
+
+    def test_thresholds_assigned_only_after_every_score(self):
+        first = ReconstructionDetector(_ConstantAE(0.1), norm=1)
+        second = _FailingDetector(_ConstantAE(0.2), norm=2)
+        magnet = MagNet(_FixedClassifier(), [first, second], None)
+        magnet.calibrate(_dark(20), fpr_total=0.1)
+        before = [first.threshold, second.threshold]
+        second.fail = True
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            magnet.calibrate(_bright(20), fpr_total=0.1)
+        assert [first.threshold, second.threshold] == before
+
+    def test_detector_calibrate_rejects_empty(self):
+        det = ReconstructionDetector(_ConstantAE(0.1), norm=1)
+        with pytest.raises(ValueError, match="empty"):
+            det.calibrate(_dark(0), fpr=0.1)
+        assert det.threshold is None
+
+
 class TestMagNetDetection:
     def test_clean_inputs_pass(self):
         magnet = _calibrated_magnet()

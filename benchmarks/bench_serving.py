@@ -1,9 +1,15 @@
 #!/usr/bin/env python
 """Benchmark the serving layer: micro-batching, and the process cluster.
 
+Both sections drive the one serving class,
+:class:`~repro.serving.service.ClusterService`: the closed-loop rounds
+and the in-process equality check at ``workers=0`` (through its
+one-model :class:`~repro.serving.service.InferenceService`
+constructor), the cluster rounds at ``workers>=1``.
+
 **Closed-loop rounds** (N client threads, each issuing its next request
 only after the previous verdict returns) drive the in-process
-:class:`~repro.serving.service.InferenceService` over a full MagNet
+(``workers=0``) service over a full MagNet
 pipeline (detectors -> reformer -> classifier x2), twice:
 
 * **baseline** — ``max_batch=1``: every request is served alone, the
@@ -23,9 +29,9 @@ Two workloads:
   only amortise the fixed per-call overhead (~3x ceiling on one core);
   reported for context, the acceptance gate runs on ``dense``.
 
-**Cluster rounds** drive the multi-process
-:class:`~repro.serving.cluster.ClusterService` (shared-memory rings,
-model router, tiered admission) with an *open-loop* generator: arrivals
+**Cluster rounds** drive the service with worker processes
+(shared-memory rings, model router, tiered admission) with an
+*open-loop* generator: arrivals
 follow a heavy-tailed Pareto inter-arrival process whose mean rate is
 pinned at 2x the measured closed-loop capacity, with a priority mix
 across the interactive/standard/background tiers.  Mid-load, one worker
@@ -88,7 +94,7 @@ def _build_dense_magnet():
 def _closed_loop_round(magnet, inputs, config, concurrency: int,
                        requests_per_client: int) -> dict:
     """Drive one service config with a closed-loop thread fleet."""
-    from repro.serving import Client, InferenceService
+    from repro.serving import InferenceService
 
     total = concurrency * requests_per_client
     latencies = [0.0] * total
@@ -96,14 +102,12 @@ def _closed_loop_round(magnet, inputs, config, concurrency: int,
     lock = threading.Lock()
 
     with InferenceService(magnet, config) as service:
-        client = Client(service)
-
         def run_client(worker: int) -> None:
             for k in range(requests_per_client):
                 idx = (worker * requests_per_client + k) % len(inputs)
                 t0 = time.perf_counter()
                 try:
-                    client.predict(inputs[idx], timeout=120)
+                    service.predict(inputs[idx], timeout=120)
                 except Exception:  # noqa: BLE001 - count, keep loading
                     with lock:
                         errors[0] += 1

@@ -25,7 +25,9 @@ gain summary.
 ``serve`` starts the micro-batching HTTP inference service over the
 defended pipeline (``repro.serving``): concurrent ``POST /predict``
 requests are coalesced into batches (``--max-batch``/``--max-wait-ms``)
-with bounded admission (``--max-queue``, HTTP 429 beyond it); see
+with bounded admission (``--max-queue``, HTTP 429 beyond it), routed by
+their ``model`` field (``--models``), and run in this process
+(``--workers 0``, the default) or in N worker processes; see
 ``GET /healthz`` and ``GET /stats`` for liveness and latency
 percentiles, and ``GET /metrics`` for Prometheus-format counters.
 
@@ -291,8 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the online MagNet inference service over HTTP",
         description="Serve the defended pipeline: coalesce concurrent "
                     "/predict requests into micro-batches through one "
-                    "batched MagNet pass. Endpoints: POST /predict, "
-                    "GET /healthz, GET /stats.")
+                    "batched MagNet pass, in this process (--workers 0) "
+                    "or in worker processes (--workers N). Endpoints: "
+                    "POST /predict, GET /healthz, GET /models, GET /stats, "
+                    "GET /metrics.")
     serve.add_argument("--dataset", choices=("digits", "objects"),
                        default="digits", help="dataset whose models to serve")
     serve.add_argument("--variant", default="default",
@@ -315,14 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue", type=int, default=256, metavar="N",
                        help="admission bound: reject (HTTP 429) beyond this "
                             "queue depth (default 256)")
-    serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker threads draining the queue; with "
-                            "--models these are OS-process cluster workers "
-                            "(default 1)")
+    serve.add_argument("--workers", type=int, default=0, metavar="N",
+                       help="model worker processes: 0 runs batches in "
+                            "this process, one thread per model; N >= 1 "
+                            "runs them in N OS processes over "
+                            "shared-memory rings (default 0)")
     serve.add_argument("--models", metavar="V1,V2,...",
                        help="comma-separated MagNet variants to route by "
-                            "the /predict 'model' field (starts the "
-                            "multi-process cluster; overrides --variant)")
+                            "the /predict 'model' field (overrides "
+                            "--variant)")
     serve.add_argument("--adaptive-wait", action="store_true",
                        help="AIMD-tune each tenant's max_wait_ms from its "
                             "live queue-depth gauge (bounds: "
@@ -453,57 +458,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.experiments.context import ExperimentContext
-    from repro.serving import InferenceService, ServingConfig, serve_in_thread
-
-    profile = _resolve_profile(args.profile)
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    configure_observability(_telemetry_path(args.telemetry, cache_dir))
-    _resolve_nn_backend(args.nn_backend, profile)
-
-    if args.models:
-        return _serve_cluster(args, profile, cache_dir)
-
-    ctx = ExperimentContext(args.dataset, profile=profile,
-                            cache=DiskCache(cache_dir), seed=args.seed)
-    log.info("loading %s/%s models (%s profile) ...", args.dataset,
-             args.variant, profile.name)
-    magnet = ctx.magnet(args.variant, ae_loss=args.ae_loss)
-    config = ServingConfig(max_batch=args.max_batch,
-                           max_wait_ms=args.max_wait_ms,
-                           max_queue=args.max_queue,
-                           workers=args.workers,
-                           adaptive_wait=args.adaptive_wait,
-                           min_wait_ms=args.min_wait_ms)
-
-    with InferenceService(magnet, config) as service:
-        server, _ = serve_in_thread(service, args.host, args.port)
-        host, port = server.server_address[:2]
-        print(f"serving {args.dataset}/{args.variant} on http://{host}:{port} "
-              f"(max_batch={config.max_batch}, "
-              f"max_wait_ms={config.max_wait_ms:g}, "
-              f"max_queue={config.max_queue})", flush=True)
-        try:
-            while True:
-                time.sleep(0.2)
-                if (args.max_requests is not None
-                        and service.stats.completed >= args.max_requests):
-                    log.info("served %d requests (--max-requests), exiting",
-                             service.stats.completed)
-                    break
-                if not service.healthy():
-                    log.error("service became unhealthy, exiting")
-                    return 1
-        except KeyboardInterrupt:
-            print("interrupted, draining ...", flush=True)
-        finally:
-            server.shutdown()
-            server.server_close()
-    return 0
-
-
-def _serve_cluster(args: argparse.Namespace, profile, cache_dir) -> int:
-    """``serve --models v1,v2``: the multi-process multi-tenant cluster."""
+    """``serve``: route each ``--models`` variant (else ``--variant``)."""
     from repro.experiments.context import ExperimentContext, build_served_magnet
     from repro.serving import (
         ClusterConfig,
@@ -513,12 +468,18 @@ def _serve_cluster(args: argparse.Namespace, profile, cache_dir) -> int:
         serve_in_thread,
     )
 
-    variants = [v.strip() for v in args.models.split(",") if v.strip()]
+    profile = _resolve_profile(args.profile)
+    cache_dir = _resolve_cache_dir(args.cache_dir)
+    configure_observability(_telemetry_path(args.telemetry, cache_dir))
+    _resolve_nn_backend(args.nn_backend, profile)
+
+    variants = [v.strip() for v in (args.models or args.variant).split(",")
+                if v.strip()]
     if not variants:
         log.error("--models needs at least one variant")
         return 2
-    # Warm the cache in-process first so every worker loads (never
-    # re-trains) bitwise-identical weights.
+    # Warm the cache first so every builder loads (never re-trains)
+    # bitwise-identical weights, in this process or in each worker.
     ctx = ExperimentContext(args.dataset, profile=profile,
                             cache=DiskCache(cache_dir), seed=args.seed)
     input_shape = tuple(ctx.splits.test.x.shape[1:])
@@ -529,7 +490,7 @@ def _serve_cluster(args: argparse.Namespace, profile, cache_dir) -> int:
                                   min_wait_ms=args.min_wait_ms)
     specs = []
     for variant in variants:
-        log.info("warming %s/%s models (%s profile) ...", args.dataset,
+        log.info("loading %s/%s models (%s profile) ...", args.dataset,
                  variant, profile.name)
         ctx.magnet(variant, ae_loss=args.ae_loss)
         specs.append(ModelSpec(
@@ -541,27 +502,27 @@ def _serve_cluster(args: argparse.Namespace, profile, cache_dir) -> int:
                             "seed": args.seed},
             input_shape=input_shape, config=tenant_config))
 
-    cluster_config = ClusterConfig(workers=args.workers)
-    with ClusterService(specs, cluster_config) as cluster:
-        cluster.wait_ready(timeout=600.0)
-        server, _ = serve_in_thread(cluster, args.host, args.port)
+    with ClusterService(specs, ClusterConfig(workers=args.workers)) as service:
+        service.wait_ready(timeout=600.0)
+        server, _ = serve_in_thread(service, args.host, args.port)
         host, port = server.server_address[:2]
         print(f"serving {args.dataset} x {variants} on http://{host}:{port} "
-              f"({cluster_config.workers} workers, max_batch="
-              f"{tenant_config.max_batch}, adaptive_wait="
+              f"(workers={args.workers}, max_batch="
+              f"{tenant_config.max_batch}, max_wait_ms="
+              f"{tenant_config.max_wait_ms:g}, max_queue="
+              f"{tenant_config.max_queue}, adaptive_wait="
               f"{tenant_config.adaptive_wait})", flush=True)
         try:
             while True:
                 time.sleep(0.2)
-                snap = cluster.stats_snapshot()
+                completed = service.stats_snapshot()["requests"]["completed"]
                 if (args.max_requests is not None
-                        and snap["requests"]["completed"]
-                        >= args.max_requests):
+                        and completed >= args.max_requests):
                     log.info("served %d requests (--max-requests), exiting",
-                             snap["requests"]["completed"])
+                             completed)
                     break
-                if not cluster.healthy():
-                    log.error("cluster became unhealthy, exiting")
+                if not service.healthy():
+                    log.error("service became unhealthy, exiting")
                     return 1
         except KeyboardInterrupt:
             print("interrupted, draining ...", flush=True)

@@ -24,6 +24,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,29 +35,31 @@ DEFAULT_DTYPE = np.float32
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-_grad_enabled = True
+#: Grad mode is per thread, as in torch: one serving thread's
+#: ``no_grad`` must not switch graph recording off (or, through
+#: interleaved save/restore, leave it off) for another thread.
+_GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_nn_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph construction.
+    """Context manager that disables graph construction in this thread.
 
     Forward passes inside the block behave identically but record no
     backward closures, so they are cheaper and cannot be backpropagated
     through.  Mirrors ``torch.no_grad``.
     """
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _GRAD_ENABLED.reset(token)
 
 
 def is_grad_enabled() -> bool:
-    """Return whether graph construction is currently active."""
-    return _grad_enabled
+    """Return whether graph construction is active in this thread."""
+    return _GRAD_ENABLED.get()
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -292,7 +295,7 @@ def _make(data: np.ndarray,
           parents: Iterable[Tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]) -> Tensor:
     """Build an op output, recording parents only when grad mode is on."""
     out = Tensor(data, dtype=data.dtype)
-    if _grad_enabled:
+    if _GRAD_ENABLED.get():
         out._parents = [(p, fn) for p, fn in parents if _needs_grad(p)]
     return out
 

@@ -1,36 +1,27 @@
-"""Multi-process serving cluster: process workers over shared-memory rings.
+"""Process workers for the serving service (``ClusterConfig(workers>=1)``).
 
-:class:`ClusterService` scales :class:`~repro.serving.service.InferenceService`
-past the GIL: model inference runs in OS-process workers
+:class:`ProcessExecutor` runs the micro-batches of a
+:class:`~repro.serving.service.ClusterService` in OS-process workers
 (:func:`_worker_main`), each hosting every routed MagNet variant, fed
 over per-worker :class:`~repro.serving.ring.SlotRing` pairs (zero-copy
 numpy in/out; a pickle pipe as fallback transport for messages that do
-not fit a ring slot).  The frontend process keeps four small threads:
+not fit a ring slot).  The service owns admission, queues, verdicts and stats; this
+executor keeps three small frontend threads:
 
 * **dispatcher** — the *only* producer on every request ring.  Polls
   each tenant's :class:`~repro.serving.batcher.MicroBatcher`, stacks
   due batches, and pushes them to the least-loaded live worker.
 * **collector** — the *only* consumer on every response ring (and the
-  pipe receive side).  Unpacks decision arrays and resolves futures
-  with :class:`~repro.serving.service.Verdict` objects identical to the
-  single-process service's.
+  pipe receive side).  Unpacks decision arrays and hands them to the
+  service, which resolves the futures with verdicts.
 * **supervisor** — watches process liveness + the shared-memory
   heartbeat board; a dead or hung worker is killed, respawned with
   fresh rings, and its in-flight batches are re-dispatched (bounded by
   ``max_redispatch``) so accepted requests survive worker crashes.
-* **policy** (optional) — ticks each tenant's
-  :class:`~repro.serving.policy.AdaptiveWaitController`.
 
-Admission is tiered per tenant
-(:class:`~repro.serving.policy.TieredAdmission`): background traffic
-sheds first under overload, interactive last.  ``stop()`` is
-drain-then-stop: admissions close, queued and in-flight work completes
-(within ``drain_timeout_s``), then workers exit cleanly.
-
-Determinism: a worker runs the *same* ``MagNet.decide_batch`` on the
-*same* stacked float32 batch as the offline path, so cluster verdicts
-are bitwise-identical to offline evaluation for identical batch
-composition — asserted by the test suite and ``bench_serving.py``.
+Workers start with ``fork`` where the platform has it (model weights
+inherited copy-on-write), else ``spawn`` (models re-built in the child
+from picklable builders).
 """
 
 from __future__ import annotations
@@ -42,15 +33,12 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.obs import counter, record_span, start_span
-from repro.serving.batcher import QueueFullError, Request, ServingClosedError
-from repro.serving.config import ClusterConfig, ServingConfig
-from repro.serving.policy import ShedError, normalize_tier
+from repro.obs import counter
+from repro.serving.batcher import ServingClosedError
 from repro.serving.ring import (
     KIND_ERROR,
     KIND_RAW,
@@ -58,11 +46,10 @@ from repro.serving.ring import (
     RingSlotTooSmall,
     SlotRing,
 )
-from repro.serving.router import ModelRouter, ModelSpec, UnknownModelError
-from repro.serving.service import Verdict
+from repro.serving.router import ModelSpec
 from repro.utils.logging import get_logger
 
-__all__ = ["ClusterService", "ModelSpec", "UnknownModelError"]
+__all__ = ["ProcessExecutor"]
 
 log = get_logger(__name__)
 
@@ -193,17 +180,14 @@ def _unpack_decision(msg, n: int, d: int) -> Tuple[np.ndarray, ...]:
 
 
 # ----------------------------------------------------------------------
-# Frontend bookkeeping
+# Frontend side
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class _InFlight:
     """One dispatched batch awaiting its response."""
 
     batch_id: int
-    tenant: Any                        # TenantState
-    requests: List[Request]
-    x: np.ndarray                      # kept so a crash can re-dispatch
-    dispatched_at: float
+    batch: Any                         # service.Batch; x kept to re-dispatch
     worker: int = -1
     attempts: int = 0                  # sends completed so far
     redispatch_queued: bool = False
@@ -236,36 +220,19 @@ class _WorkerHandle:
             pass
 
 
-class ClusterService:
-    """Multi-tenant, multi-process MagNet serving.
+class ProcessExecutor:
+    """Runs a service's micro-batches in supervised worker processes."""
 
-    Usage::
-
-        specs = [ModelSpec("default", build_toy_magnet, {"seed": 0}),
-                 ModelSpec("jsd", build_toy_magnet, {"seed": 1})]
-        with ClusterService(specs, ClusterConfig(workers=2)) as cluster:
-            verdict = cluster.predict(x, model="jsd",
-                                      priority="interactive")
-
-    Drop-in for :class:`~repro.serving.service.InferenceService` behind
-    the HTTP frontend, plus ``model=`` routing and ``priority=`` tiers.
-    """
-
-    supports_routing = True
-
-    def __init__(self, specs: Sequence[ModelSpec],
-                 config: Optional[ClusterConfig] = None,
-                 default_model: Optional[str] = None):
-        self.config = config or ClusterConfig()
-        self.router = ModelRouter(specs, default_model=default_model)
-        self._specs = list(specs)
+    def __init__(self, service):
+        self.service = service
+        self.config = service.config
+        self._tenants = service.router.tenants()
         self._mp_ctx = multiprocessing.get_context(
-            self.config.start_method
-            or ("fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"))
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
         self._slot_bytes = (self.config.slot_bytes
                             or self._auto_slot_bytes())
-        self._board = HeartbeatBoard(self.config.workers)
+        self._board: Optional[HeartbeatBoard] = None
         self._workers: List[Optional[_WorkerHandle]] = []
         self._graveyard: List[_WorkerHandle] = []
         self._workers_lock = threading.Lock()
@@ -277,13 +244,7 @@ class ClusterService:
         self._dispatch_stop = threading.Event()
         self._collect_stop = threading.Event()
         self._supervise_stop = threading.Event()
-        self._policy_stop = threading.Event()
-        self._started = False
         self._closing = False
-        self._stopped = False
-        self._started_at: Optional[float] = None
-        self._id_lock = threading.Lock()
-        self._next_id = 0
         self._next_batch_id = 0
         self.restarts = 0
 
@@ -291,7 +252,7 @@ class ClusterService:
     def _auto_slot_bytes(self) -> int:
         """Size ring slots for the largest plausible request/response."""
         worst = 64 * 1024                       # floor: headroom for meta
-        for tenant in self.router.tenants():
+        for tenant in self._tenants:
             shape = tenant.spec.input_shape
             if shape is None:
                 continue
@@ -303,35 +264,24 @@ class ClusterService:
         return worst
 
     # -- lifecycle -----------------------------------------------------
-    def start(self) -> "ClusterService":
-        if self._started:
-            raise RuntimeError("cluster already started")
-        self._started = True
-        self._started_at = time.monotonic()
+    def start(self) -> None:
+        self._board = HeartbeatBoard(self.config.workers)
         with self._workers_lock:
             for i in range(self.config.workers):
                 self._workers.append(self._spawn_worker(i))
-        threads = [
-            threading.Thread(target=self._dispatch_loop,
-                             name="repro-cluster-dispatch", daemon=True),
-            threading.Thread(target=self._collect_loop,
-                             name="repro-cluster-collect", daemon=True),
-            threading.Thread(target=self._supervise_loop,
-                             name="repro-cluster-supervise", daemon=True),
-        ]
-        if any(t.adaptive is not None for t in self.router.tenants()):
-            threads.append(threading.Thread(
-                target=self._policy_loop, name="repro-cluster-policy",
-                daemon=True))
-        for t in threads:
+        # The dispatcher comes first: stop() joins it before the others.
+        self._threads = [
+            threading.Thread(target=loop, name=f"repro-cluster-{name}",
+                             daemon=True)
+            for name, loop in (("dispatch", self._dispatch_loop),
+                               ("collect", self._collect_loop),
+                               ("supervise", self._supervise_loop))]
+        for t in self._threads:
             t.start()
-        self._threads = threads
-        log.info("cluster started: %d worker(s) x %d model(s), "
-                 "ring_slots=%d, slot_bytes=%d, start_method=%s",
-                 self.config.workers, len(self.router),
+        log.info("cluster started: %d worker(s), ring_slots=%d, "
+                 "slot_bytes=%d, start_method=%s", self.config.workers,
                  self.config.ring_slots, self._slot_bytes,
                  self._mp_ctx.get_start_method())
-        return self
 
     def _spawn_worker(self, index: int) -> _WorkerHandle:
         self._board.clear(index)
@@ -340,15 +290,16 @@ class ClusterService:
         parent_conn, child_conn = self._mp_ctx.Pipe()
         process = self._mp_ctx.Process(
             target=_worker_main, name=f"repro-cluster-w{index}",
-            args=(index, self._specs, req_ring, resp_ring, child_conn,
-                  self._board, index, self.config.poll_interval_s),
+            args=(index, [t.spec for t in self._tenants], req_ring,
+                  resp_ring, child_conn, self._board, index,
+                  self.config.poll_interval_s),
             daemon=True)
         process.start()
         child_conn.close()
         return _WorkerHandle(index, process, req_ring, resp_ring,
                              parent_conn)
 
-    def wait_ready(self, timeout: float = 60.0) -> bool:
+    def wait_ready(self, timeout: float) -> bool:
         """Block until every live worker has built its models."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
@@ -359,95 +310,26 @@ class ClusterService:
             time.sleep(0.01)
         return False
 
-    def __enter__(self) -> "ClusterService":
-        if not self._started:
-            self.start()
-        return self
+    def alive(self) -> bool:
+        return self.snapshot()["alive"] > 0
 
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def healthy(self) -> bool:
-        if not self._started or self._closing or self._stopped:
-            return False
+    def snapshot(self) -> Dict[str, int]:
         with self._workers_lock:
-            return any(h is not None and not h.retired
-                       and h.process.is_alive() for h in self._workers)
-
-    @property
-    def uptime_s(self) -> float:
-        if self._started_at is None:
-            return 0.0
-        return time.monotonic() - self._started_at
-
-    @property
-    def request_timeout_s(self) -> float:
-        return self.config.request_timeout_s
-
-    def model_ids(self) -> List[str]:
-        return self.router.model_ids()
-
-    # -- request path --------------------------------------------------
-    def _assign_id(self) -> str:
-        with self._id_lock:
-            self._next_id += 1
-            return f"r{self._next_id}"
-
-    def submit(self, x: np.ndarray, request_id: Optional[str] = None,
-               model: Optional[str] = None,
-               priority: Optional[str] = None) -> "Future[Verdict]":
-        """Queue one example for ``model`` at ``priority``; async verdict.
-
-        Raises :class:`UnknownModelError` for an unrouted model id,
-        :class:`~repro.serving.policy.ShedError` when the request's tier
-        must shed, :class:`QueueFullError` at the hard queue bound, and
-        :class:`ServingClosedError` once stopping.
-        """
-        if self._closing or self._stopped:
-            raise ServingClosedError("cluster is stopping")
-        tenant = self.router.resolve(model)
-        tier = normalize_tier(priority)
-        x = np.asarray(x, dtype=np.float32)
-        with self._id_lock:
-            if tenant.input_shape is None:
-                tenant.input_shape = x.shape
-            elif x.shape != tenant.input_shape:
-                raise ValueError(
-                    f"input shape {x.shape} does not match model "
-                    f"{tenant.model_id!r}'s shape {tenant.input_shape} "
-                    f"(one example per request)")
-        rid = request_id or self._assign_id()
-        future: "Future[Verdict]" = Future()
-        request = Request(x=x, id=rid, future=future,
-                          enqueued_at=time.monotonic(),
-                          span=start_span("serve/request", request=rid,
-                                          model=tenant.model_id, tier=tier))
-        try:
-            tenant.admission.admit(tier, len(tenant.batcher))
-            tenant.batcher.submit(request)
-        except (ShedError, QueueFullError, ServingClosedError) as exc:
-            tenant.stats.note_rejected()
-            request.span.finish(rejected=type(exc).__name__)
-            raise
-        return future
-
-    def predict(self, x: np.ndarray, timeout: Optional[float] = None,
-                model: Optional[str] = None,
-                priority: Optional[str] = None) -> Verdict:
-        return self.submit(x, model=model, priority=priority).result(timeout)
-
-    def predict_many(self, xs: Sequence[np.ndarray],
-                     timeout: Optional[float] = None,
-                     model: Optional[str] = None) -> List[Verdict]:
-        futures = [self.submit(x, model=model) for x in xs]
-        return [f.result(timeout) for f in futures]
+            live = [h for h in self._workers
+                    if h is not None and not h.retired]
+            alive = sum(h.process.is_alive() for h in live)
+            ready = sum(h.ready for h in live)
+        with self._inflight_lock:
+            inflight = len(self._inflight)
+        return {"alive": alive, "ready": ready, "restarts": self.restarts,
+                "inflight": inflight}
 
     # -- dispatcher ----------------------------------------------------
     def _dispatch_loop(self) -> None:
         poll = self.config.poll_interval_s
         while not self._dispatch_stop.is_set():
             did_work = self._drain_redispatch_queue()
-            for tenant in self.router.tenants():
+            for tenant in self._tenants:
                 # Backpressure: once every live worker is at its
                 # in-flight bound, leave work in the tenant queues where
                 # the depth gauge and tiered admission can see it —
@@ -455,9 +337,11 @@ class ClusterService:
                 # into the pickle-fallback pipe and nothing would shed.
                 if not self._has_dispatch_capacity():
                     break
-                batch = tenant.batcher.next_batch(timeout=0)
-                if batch:
-                    self._dispatch_new_batch(tenant, batch)
+                requests = tenant.batcher.next_batch(timeout=0)
+                if requests:
+                    batch = self.service._open_batch(tenant, requests)
+                    if batch is not None:
+                        self._dispatch_new_batch(batch)
                     did_work = True
             if not did_work:
                 time.sleep(poll)
@@ -490,16 +374,11 @@ class ClusterService:
             return any(h is not None and not h.retired
                        and len(h.pending) < bound for h in self._workers)
 
-    def _dispatch_new_batch(self, tenant, batch: List[Request]) -> None:
-        x = np.stack([r.x for r in batch])
-        with self._id_lock:
-            self._next_batch_id += 1
-            batch_id = self._next_batch_id
-        record = _InFlight(batch_id=batch_id, tenant=tenant,
-                           requests=batch, x=x,
-                           dispatched_at=time.monotonic())
+    def _dispatch_new_batch(self, batch) -> None:
         with self._inflight_lock:
-            self._inflight[batch_id] = record
+            self._next_batch_id += 1
+            record = _InFlight(batch_id=self._next_batch_id, batch=batch)
+            self._inflight[record.batch_id] = record
         counter("cluster/dispatched").inc()
         self._send_batch(record)
 
@@ -530,18 +409,18 @@ class ClusterService:
         if parked:
             self._park(record)
             return False
-        tenant = record.tenant
-        meta = pickle.dumps((tenant.model_id, record.x.shape))
+        model_id, x = record.batch.tenant.model_id, record.batch.x
+        meta = pickle.dumps((model_id, x.shape))
         try:
             pushed = handle.req_ring.try_push(KIND_RAW, record.batch_id,
-                                              meta, record.x)
+                                              meta, x)
         except RingSlotTooSmall:
             pushed = False
         if not pushed:
             counter("cluster/pickle_fallbacks").inc()
             with handle.send_lock:
                 _pipe_send(handle.conn, ("batch", record.batch_id,
-                                         tenant.model_id, record.x))
+                                         model_id, x))
         with self._workers_lock:
             if handle.retired and record.batch_id in handle.pending:
                 # The supervisor retired this worker between selection
@@ -581,12 +460,12 @@ class ClusterService:
         try:
             info = pickle.loads(msg.meta)
             if msg.kind == KIND_ERROR:
-                self._fail_batch(handle, msg.batch_id,
-                                 info.get("error", "worker error"))
+                self._fail(handle, msg.batch_id,
+                           info.get("error", "worker error"))
                 return
             n, d = info["n"], len(info["names"])
             arrays = _unpack_decision(msg, n, d)
-            self._resolve_batch(handle, msg.batch_id, info, arrays)
+            self._resolve(handle, msg.batch_id, info, arrays)
             del arrays
         finally:
             msg.release()
@@ -601,92 +480,44 @@ class ClusterService:
             _, batch_id, info, arrays = obj
             counter("cluster/pickle_fallbacks").inc()
             if arrays is None or "error" in info:
-                self._fail_batch(handle, batch_id,
-                                 info.get("error", "worker error"))
+                self._fail(handle, batch_id,
+                           info.get("error", "worker error"))
             else:
-                self._resolve_batch(handle, batch_id, info, arrays)
+                self._resolve(handle, batch_id, info, arrays)
         elif kind == "stopped":
             pass
         else:  # pragma: no cover - future protocol drift
             log.warning("unknown worker message %r", kind)
 
-    def _take_record(self, handle: Optional[_WorkerHandle],
+    def _take_record(self, handle: _WorkerHandle,
                      batch_id: int) -> Optional[_InFlight]:
         with self._inflight_lock:
             record = self._inflight.pop(batch_id, None)
-        if handle is not None:
-            with self._workers_lock:
-                handle.pending.discard(batch_id)
+        with self._workers_lock:
+            handle.pending.discard(batch_id)
         return record
 
-    def _resolve_batch(self, handle: Optional[_WorkerHandle],
-                       batch_id: int, info: Dict[str, Any],
-                       arrays: Tuple[np.ndarray, ...]) -> None:
+    def _resolve(self, handle: _WorkerHandle, batch_id: int,
+                 info: Dict[str, Any],
+                 arrays: Tuple[np.ndarray, ...]) -> None:
         record = self._take_record(handle, batch_id)
         if record is None:
             return                     # duplicate after a re-dispatch race
-        labels_reformed, labels_raw, detected, flags, scores = arrays
-        names = info["names"]
-        n = info["n"]
-        infer_ms = info["infer_s"] * 1000.0
-        now = time.monotonic()
-        tenant = record.tenant
-        tenant.stats.note_batch(n)
-        counter("serve/batches").inc()
         counter("cluster/responses").inc()
-        for stage_name, stage_s in zip(("detect", "reform", "classify"),
-                                       info["stage"]):
-            record_span(f"serve/{stage_name}", stage_s, batch=n,
-                        model=tenant.model_id)
-        for i, r in enumerate(record.requests):
-            queue_ms = (record.dispatched_at - r.enqueued_at) * 1000.0
-            total_ms = (now - r.enqueued_at) * 1000.0
-            verdict = Verdict(
-                request_id=r.id,
-                label=int(labels_reformed[i]),
-                detected=bool(detected[i]),
-                label_raw=int(labels_raw[i]),
-                detector_scores={name: float(scores[d, i])
-                                 for d, name in enumerate(names)},
-                detector_flags={name: bool(flags[d, i])
-                                for d, name in enumerate(names)},
-                queue_ms=round(queue_ms, 3),
-                infer_ms=round(infer_ms, 3),
-                batch_size=n,
-            )
-            tenant.stats.note_request(queue_ms, total_ms)
-            counter("serve/requests").inc()
-            if r.span is not None:
-                r.span.finish(queue_ms=round(queue_ms, 3), batch=n,
-                              detected=verdict.detected,
-                              model=tenant.model_id)
-            if not r.future.done():
-                r.future.set_result(verdict)
+        self.service._resolve_batch(record.batch, arrays, info["names"],
+                                    info["stage"], info["infer_s"])
 
-    def _fail_batch(self, handle: Optional[_WorkerHandle], batch_id: int,
-                    error: str) -> None:
+    def _fail(self, handle: _WorkerHandle, batch_id: int, error: str) -> None:
         record = self._take_record(handle, batch_id)
         if record is None:
             return
-        record.tenant.stats.note_errors(len(record.requests))
-        counter("serve/errors").inc(len(record.requests))
         log.error("batch %d of %d request(s) failed in worker: %s",
-                  batch_id, len(record.requests), error)
-        exc = RuntimeError(f"model worker failed: {error}")
-        for r in record.requests:
-            if r.span is not None:
-                r.span.finish(error="WorkerError")
-            if not r.future.done():
-                r.future.set_exception(exc)
+                  batch_id, len(record.batch.requests), error)
+        self.service._fail_batch(
+            record.batch, RuntimeError(f"model worker failed: {error}"))
 
-    def kill_worker(self, index: int = 0) -> bool:
-        """SIGKILL one live worker process (fault-injection hook).
-
-        Used by the crash-recovery tests and the serving benchmark to
-        prove accepted requests survive a worker loss; the supervisor
-        notices the death and respawns the slot.  Returns True when a
-        live worker was killed.
-        """
+    def kill_worker(self, index: int) -> bool:
+        """SIGKILL one live worker process; True when one was killed."""
         with self._workers_lock:
             handle = (self._workers[index]
                       if 0 <= index < len(self._workers) else None)
@@ -735,7 +566,7 @@ class ClusterService:
         if self._boot_failures[index] >= _MAX_BOOT_FAILURES:
             log.error("worker slot %d failed %d boots; not respawning",
                       index, self._boot_failures[index])
-        elif not (self._closing or self._stopped):
+        elif not self._closing:
             replacement = self._spawn_worker(index)
         with self._workers_lock:
             self._workers[index] = replacement
@@ -763,54 +594,36 @@ class ClusterService:
                          batch_id, record.attempts + 1, reason)
                 return
         # Redispatch budget exhausted: fail the batch's requests.
-        record.tenant.stats.note_errors(len(record.requests))
-        counter("serve/errors").inc(len(record.requests))
         exc = RuntimeError(
             f"batch {batch_id} lost after {record.attempts} attempt(s): "
             f"{reason}")
         log.error("%s", exc)
-        for r in record.requests:
-            if r.span is not None:
-                r.span.finish(error="BatchLost")
-            if not r.future.done():
-                r.future.set_exception(exc)
-
-    # -- adaptive batching policy --------------------------------------
-    def _policy_loop(self) -> None:
-        tenants = [t for t in self.router.tenants()
-                   if t.adaptive is not None]
-        while not self._policy_stop.wait(self.config.policy_interval_s):
-            for tenant in tenants:
-                tenant.adaptive.tick()
+        self.service._fail_batch(record.batch, exc)
 
     # -- shutdown ------------------------------------------------------
-    def stop(self, drain: bool = True,
-             timeout: Optional[float] = None) -> None:
-        """Drain-then-stop: close admissions, finish work, end workers."""
-        if self._stopped or not self._started:
-            self._stopped = True
-            if not self._started:
-                self._board.close()
-            return
+    def stop(self, deadline: float) -> None:
+        """Drain until ``deadline``, fail what is in flight, end workers.
+
+        The service closed every tenant queue before calling this; it
+        fails whatever is still queued once this returns.
+        """
         self._closing = True
         self._supervise_stop.set()
-        self._policy_stop.set()
-        for tenant in self.router.tenants():
-            tenant.batcher.close()
-        deadline = time.monotonic() + (timeout if timeout is not None
-                                       else self.config.drain_timeout_s)
-        if drain:
-            while time.monotonic() < deadline:
-                queued = sum(len(t.batcher)
-                             for t in self.router.tenants())
-                with self._inflight_lock:
-                    inflight = len(self._inflight)
-                if queued == 0 and inflight == 0 and not self._redispatch:
-                    break
-                time.sleep(0.005)
+        while time.monotonic() < deadline:
+            queued = sum(len(t.batcher) for t in self._tenants)
+            with self._inflight_lock:
+                inflight = len(self._inflight)
+            if queued == 0 and inflight == 0 and not self._redispatch:
+                break
+            time.sleep(0.005)
         self._dispatch_stop.set()
         self._threads[0].join(5.0)     # dispatcher first: no new sends
-        self._fail_leftovers()
+        with self._inflight_lock:
+            leftovers = list(self._inflight.values())
+            self._inflight.clear()
+        exc = ServingClosedError("service stopped before serving request")
+        for record in leftovers:
+            self.service._fail_batch(record.batch, exc)
         with self._workers_lock:
             handles = [h for h in self._workers if h is not None]
         for handle in handles:
@@ -822,100 +635,9 @@ class ClusterService:
                 handle.process.kill()
                 handle.process.join(2.0)
         self._collect_stop.set()
-        self._stopped = True
         for t in self._threads:
             t.join(5.0)
         for handle in handles + self._graveyard:
             handle.close_transport()
         self._board.close()
-        log.info("cluster stopped: %d restarts, %d model(s)",
-                 self.restarts, len(self.router))
-
-    def _fail_leftovers(self) -> None:
-        """Fail queued/in-flight requests that survived the drain window."""
-        exc = ServingClosedError("cluster stopped before serving request")
-        for tenant in self.router.tenants():
-            while True:
-                batch = tenant.batcher.next_batch(timeout=0)
-                if not batch:
-                    break
-                tenant.stats.note_errors(len(batch))
-                for r in batch:
-                    if r.span is not None:
-                        r.span.finish(error="ServingClosedError")
-                    if not r.future.done():
-                        r.future.set_exception(exc)
-        with self._inflight_lock:
-            leftovers = list(self._inflight.values())
-            self._inflight.clear()
-        for record in leftovers:
-            record.tenant.stats.note_errors(len(record.requests))
-            for r in record.requests:
-                if r.span is not None:
-                    r.span.finish(error="ServingClosedError")
-                if not r.future.done():
-                    r.future.set_exception(exc)
-
-    # -- introspection -------------------------------------------------
-    def stats_snapshot(self) -> Dict[str, Any]:
-        """Aggregate + per-model counters — the cluster /stats payload."""
-        with self._workers_lock:
-            alive = sum(1 for h in self._workers
-                        if h is not None and not h.retired
-                        and h.process.is_alive())
-            ready = sum(1 for h in self._workers
-                        if h is not None and not h.retired and h.ready)
-        with self._inflight_lock:
-            inflight = len(self._inflight)
-        models: Dict[str, Any] = {}
-        totals = {"completed": 0, "rejected": 0, "errors": 0, "shed": 0}
-        for tenant in self.router.tenants():
-            snap = tenant.stats.snapshot()
-            shed = tenant.admission.snapshot()
-            snap["queue_depth"] = len(tenant.batcher)
-            snap["shed"] = shed
-            snap["wait_ms"] = round(tenant.batcher.max_wait_s * 1000.0, 3)
-            snap["config"] = tenant.config.as_dict()
-            models[tenant.model_id] = snap
-            totals["completed"] += snap["requests"]["completed"]
-            totals["rejected"] += snap["requests"]["rejected"]
-            totals["errors"] += snap["requests"]["errors"]
-            totals["shed"] += sum(shed.values())
-        return {
-            "requests": totals,
-            "models": models,
-            "default_model": self.router.default_model,
-            "cluster": {
-                "workers": self.config.workers,
-                "alive": alive,
-                "ready": ready,
-                "restarts": self.restarts,
-                "inflight": inflight,
-                "start_method": self._mp_ctx.get_start_method(),
-            },
-            "queue_depth": sum(len(t.batcher)
-                               for t in self.router.tenants()),
-            "uptime_s": round(self.uptime_s, 3),
-            "healthy": self.healthy(),
-            "config": self.config.as_dict(),
-        }
-
-    def metrics_gauges(self) -> Dict[str, float]:
-        """Extra gauges for /metrics (None-valued percentiles skipped)."""
-        snap = self.stats_snapshot()
-        extra: Dict[str, float] = {
-            "serve/uptime_seconds": snap["uptime_s"],
-            "serve/healthy": 1.0 if snap["healthy"] else 0.0,
-            "serve/queue_depth_now": snap["queue_depth"],
-            "cluster/workers_alive": snap["cluster"]["alive"],
-            "cluster/restarts_total": snap["cluster"]["restarts"],
-            "cluster/inflight_now": snap["cluster"]["inflight"],
-        }
-        for model_id, msnap in snap["models"].items():
-            extra[f"serve/queue_depth_now_{model_id}"] = msnap["queue_depth"]
-            for window, pcts in msnap["latency_ms"].items():
-                for pct, value in pcts.items():
-                    if value is not None:
-                        extra[f"serve/latency_{window}_ms_{pct}"
-                              f"_{model_id}"] = value
-        return extra
+        log.info("cluster stopped: %d restarts", self.restarts)

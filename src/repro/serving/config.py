@@ -1,9 +1,11 @@
 """Configuration for the online inference service.
 
-One frozen dataclass holds every serving knob so the CLI, the HTTP
-frontend, the benchmark and the tests construct services identically.
-The two knobs that define *dynamic micro-batching* are ``max_batch`` and
-``max_wait_ms``: a batch is flushed to the worker pool as soon as either
+Two frozen dataclasses hold every serving knob so the CLI, the HTTP
+frontend, the benchmark and the tests construct services identically:
+:class:`ServingConfig` per routed model (tenant) and
+:class:`ClusterConfig` for the service as a whole.  The two knobs that
+define *dynamic micro-batching* are ``max_batch`` and ``max_wait_ms``:
+a batch is flushed to its executor as soon as either
 ``max_batch`` requests are waiting or the oldest waiting request has
 aged ``max_wait_ms`` — whichever happens first.  ``max_queue`` bounds
 admission: once that many requests are queued, new submissions are
@@ -19,12 +21,11 @@ from typing import Any, Dict, Optional, Tuple
 
 @dataclasses.dataclass(frozen=True)
 class ServingConfig:
-    """Knobs for :class:`~repro.serving.service.InferenceService`.
+    """Per-tenant knobs of :class:`~repro.serving.service.ClusterService`.
 
-    In cluster mode (:class:`~repro.serving.cluster.ClusterService`) one
-    ``ServingConfig`` describes a single *tenant* (one routed model): its
-    batching knobs, queue bound, shed thresholds, and adaptive-wait
-    bounds are all per-tenant.
+    One ``ServingConfig`` describes a single *tenant* (one routed
+    model): its batching knobs, queue bound, request timeout, shed
+    thresholds, and adaptive-wait bounds.
     """
 
     #: Flush a batch once this many requests are waiting.
@@ -34,10 +35,6 @@ class ServingConfig:
     #: Admission bound: submissions beyond this queue depth are rejected
     #: with :class:`~repro.serving.batcher.QueueFullError`.
     max_queue: int = 256
-    #: Worker threads draining the queue.  The pipeline is vectorized
-    #: numpy that releases the GIL in BLAS, so 1-2 workers saturate a
-    #: small host; more workers mainly reduce head-of-line blocking.
-    workers: int = 1
     #: Ring-buffer size for the latency percentiles reported by /stats.
     latency_window: int = 2048
     #: Server-side cap on how long one HTTP /predict call may wait for
@@ -61,8 +58,6 @@ class ServingConfig:
                 f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.latency_window < 1:
             raise ValueError(
                 f"latency_window must be >= 1, got {self.latency_window}")
@@ -94,16 +89,18 @@ class ServingConfig:
 
 @dataclasses.dataclass(frozen=True)
 class ClusterConfig:
-    """Process-level knobs for :class:`~repro.serving.cluster.ClusterService`.
+    """Service-wide knobs for :class:`~repro.serving.service.ClusterService`.
 
     Per-tenant knobs (batching, queues, shedding) live on each tenant's
-    :class:`ServingConfig`; this dataclass only holds what is shared by
-    the whole worker fleet: transport geometry, supervision timing, and
-    shutdown behaviour.
+    :class:`ServingConfig`; this dataclass holds what every tenant
+    shares: how batches are executed, transport geometry and
+    supervision timing (process workers only), and shutdown behaviour.
     """
 
-    #: OS-process model workers (each hosts every routed model).
-    workers: int = 2
+    #: ``0`` runs every batch in this process, on one thread per
+    #: tenant.  ``N >= 1`` runs batches in N OS-process workers (each
+    #: hosting every routed model) fed over shared-memory rings.
+    workers: int = 0
     #: Slots per shared-memory ring (request and response each).
     ring_slots: int = 8
     #: Payload bytes per ring slot; ``None`` sizes automatically from
@@ -114,7 +111,8 @@ class ClusterConfig:
     heartbeat_timeout_s: float = 10.0
     #: Supervisor poll interval.
     supervise_interval_s: float = 0.1
-    #: Dispatcher/collector idle poll interval.
+    #: Dispatcher/collector idle poll interval (process workers only;
+    #: in-process tenant threads block on their queue instead).
     poll_interval_s: float = 0.001
     #: Adaptive-wait controller tick interval (when any tenant opts in).
     policy_interval_s: float = 0.05
@@ -131,16 +129,10 @@ class ClusterConfig:
     #: its requests fail (guards against a poison batch crash-looping
     #: the fleet).
     max_redispatch: int = 2
-    #: Server-side cap for one HTTP /predict wait (504 past this).
-    request_timeout_s: float = 30.0
-    #: multiprocessing start method; ``None`` picks ``fork`` where
-    #: available (model weights inherited copy-on-write) else ``spawn``
-    #: (model specs re-built in the child from picklable builders).
-    start_method: Optional[str] = None
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.ring_slots < 1:
             raise ValueError(
                 f"ring_slots must be >= 1, got {self.ring_slots}")
@@ -157,12 +149,6 @@ class ClusterConfig:
         if self.max_redispatch < 0:
             raise ValueError(
                 f"max_redispatch must be >= 0, got {self.max_redispatch}")
-        if self.request_timeout_s <= 0:
-            raise ValueError("request_timeout_s must be positive, got "
-                             f"{self.request_timeout_s}")
-        if self.start_method not in (None, "fork", "spawn", "forkserver"):
-            raise ValueError(
-                f"unknown start_method {self.start_method!r}")
 
     def as_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)

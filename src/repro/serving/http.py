@@ -9,23 +9,21 @@ Endpoints:
 
 * ``POST /predict`` — body ``{"x": <nested list>, "id": "..."?,
   "model": "..."?, "priority": "..."?}``; answers the verdict as JSON.
-  ``model`` routes to a tenant when the backend is a
-  :class:`~repro.serving.cluster.ClusterService` (``404`` unknown id;
-  ``400`` on a single-model server), ``priority`` picks the shedding
-  tier.  ``400`` malformed body/shape, ``429`` queue full or tier shed
-  (load shed; retry later), ``503`` service stopped, ``504`` verdict
-  timed out.
+  ``model`` routes to a tenant (``404`` unknown id; omitted: the
+  default model), ``priority`` picks the shedding tier.  ``400``
+  malformed body/shape/priority, ``429`` queue full or tier shed (load
+  shed; retry later), ``503`` service stopped, ``504`` no verdict
+  within the model's ``request_timeout_s``.
 * ``GET /healthz`` — ``{"status": "ok"}`` (``503`` once stopped).
-* ``GET /models`` — routed model ids + default (cluster backends).
+* ``GET /models`` — routed model ids + default.
 * ``GET /stats`` — counters, batch stats, p50/p95/p99 latencies, config.
 * ``GET /metrics`` — Prometheus text exposition of the process-wide
   :mod:`repro.obs` metrics registry (``serve/*``, ``cache/*``, ...)
   plus the service's latency percentiles and queue depth as gauges.
 
-The server is backend-agnostic: anything exposing ``submit`` /
-``healthy`` / ``uptime_s`` / ``request_timeout_s`` / ``stats_snapshot``
-/ ``metrics_gauges`` works (both ``InferenceService`` and
-``ClusterService`` do).
+The backend is a :class:`~repro.serving.service.ClusterService` (or
+its one-model :class:`~repro.serving.service.InferenceService`) at any
+worker count.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class ServingHTTPServer(ThreadingHTTPServer):
-    """HTTP server bound to one serving backend (service or cluster)."""
+    """HTTP server bound to one serving service."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -115,13 +113,9 @@ class _ServingHandler(BaseHTTPRequestHandler):
         elif self.path == "/stats":
             self._send_json(200, service.stats_snapshot())
         elif self.path == "/models":
-            if getattr(service, "supports_routing", False):
-                self._send_json(200, {
-                    "models": sorted(service.model_ids()),
-                    "default_model": service.router.default_model})
-            else:
-                self._send_json(404, {"error": "single-model server: "
-                                               "no routed models"})
+            self._send_json(200, {
+                "models": sorted(service.model_ids()),
+                "default_model": service.router.default_model})
         elif self.path == "/metrics":
             self._send_metrics(service)
         else:
@@ -170,18 +164,11 @@ class _ServingHandler(BaseHTTPRequestHandler):
             if value is not None and not isinstance(value, str):
                 self._send_json(400, {"error": f"{field} must be a string"})
                 return
-        routed = getattr(service, "supports_routing", False)
-        if (model is not None or priority is not None) and not routed:
-            self._send_json(400, {"error": "single-model server: model/"
-                                           "priority fields not supported"})
-            return
-        kwargs: Dict[str, Any] = {"request_id": request_id}
-        if routed:
-            kwargs["model"] = model
-            kwargs["priority"] = priority
         try:
-            future = service.submit(x, **kwargs)
-            verdict = future.result(service.request_timeout_s)
+            timeout = service.router.resolve(model).config.request_timeout_s
+            future = service.submit(x, request_id=request_id, model=model,
+                                    priority=priority)
+            verdict = future.result(timeout)
         except UnknownModelError as exc:
             self._send_json(404, {"error": str(exc),
                                   "models": sorted(exc.known)})
@@ -200,7 +187,7 @@ class _ServingHandler(BaseHTTPRequestHandler):
         except FutureTimeoutError:
             self._send_json(504, {"error": "verdict timed out"})
             return
-        except ValueError as exc:           # input-shape mismatch
+        except ValueError as exc:           # bad shape or priority
             self._send_json(400, {"error": str(exc)})
             return
         except Exception as exc:            # model failure inside the batch

@@ -7,7 +7,8 @@ model is a *tenant* with its own :class:`~repro.serving.config.ServingConfig`
 cannot starve another's queue), its own
 :class:`~repro.serving.policy.TieredAdmission`, and its own latency
 stats.  ``POST /predict`` picks the tenant with the ``model=`` field;
-requests without one go to the default model.
+requests without one go to the default model.  :class:`ServiceStats`
+keeps each tenant's counters and latency windows.
 
 A :class:`ModelSpec` describes how to *build* a tenant's MagNet inside
 each worker process: either a picklable callable, or the name of a
@@ -19,12 +20,102 @@ boundary).
 from __future__ import annotations
 
 import dataclasses
+import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.serving.batcher import MicroBatcher
 from repro.serving.config import ServingConfig
 from repro.serving.policy import AdaptiveWaitController, TieredAdmission
-from repro.serving.service import ServiceStats
+
+
+def _percentiles(values: Sequence[float]) -> Dict[str, Optional[float]]:
+    # An empty window has no percentiles: report null (None), not a
+    # fabricated 0.0 that dashboards would read as "zero latency".
+    if not values:
+        return {"p50": None, "p95": None, "p99": None}
+    arr = np.asarray(values, dtype=np.float64)
+    p50, p95, p99 = np.percentile(arr, (50, 95, 99))
+    return {"p50": round(float(p50), 3), "p95": round(float(p95), 3),
+            "p99": round(float(p99), 3)}
+
+
+class ServiceStats:
+    """Thread-safe serving counters + bounded latency windows."""
+
+    def __init__(self, window: int = 2048):
+        self._lock = threading.Lock()
+        self._queue_ms: List[float] = []
+        self._total_ms: List[float] = []
+        self._window = int(window)
+        self.completed = 0
+        self.rejected = 0
+        self.errors = 0
+        self.batches = 0
+        self.batched_requests = 0
+        self.max_batch_seen = 0
+
+    def note_rejected(self) -> None:
+        with self._lock:
+            self.rejected += 1
+
+    def note_batch(self, size: int) -> None:
+        with self._lock:
+            self.batches += 1
+            self.batched_requests += size
+            self.max_batch_seen = max(self.max_batch_seen, size)
+
+    def note_request(self, queue_ms: float, total_ms: float) -> None:
+        with self._lock:
+            self.completed += 1
+            self._queue_ms.append(queue_ms)
+            self._total_ms.append(total_ms)
+            if len(self._queue_ms) > self._window:
+                del self._queue_ms[:-self._window]
+                del self._total_ms[:-self._window]
+
+    def note_errors(self, n: int) -> None:
+        with self._lock:
+            self.errors += n
+
+    @classmethod
+    def merged(cls, parts: Sequence["ServiceStats"]) -> "ServiceStats":
+        """A point-in-time sum of ``parts`` (the service-wide view)."""
+        total = cls(window=sum(p._window for p in parts))
+        for p in parts:
+            with p._lock:
+                total.completed += p.completed
+                total.rejected += p.rejected
+                total.errors += p.errors
+                total.batches += p.batches
+                total.batched_requests += p.batched_requests
+                total.max_batch_seen = max(total.max_batch_seen,
+                                           p.max_batch_seen)
+                total._queue_ms += p._queue_ms
+                total._total_ms += p._total_ms
+        return total
+
+    def snapshot(self) -> Dict[str, Any]:
+        with self._lock:
+            mean_batch = (self.batched_requests / self.batches
+                          if self.batches else 0.0)
+            return {
+                "requests": {
+                    "completed": self.completed,
+                    "rejected": self.rejected,
+                    "errors": self.errors,
+                },
+                "batches": {
+                    "count": self.batches,
+                    "mean_size": round(mean_batch, 3),
+                    "max_size": self.max_batch_seen,
+                },
+                "latency_ms": {
+                    "queue": _percentiles(self._queue_ms),
+                    "total": _percentiles(self._total_ms),
+                },
+            }
 
 
 class UnknownModelError(KeyError):
@@ -42,7 +133,7 @@ class UnknownModelError(KeyError):
 
 @dataclasses.dataclass
 class ModelSpec:
-    """One routed model: identity + how to build it in a worker process."""
+    """One routed model: identity + how to build it where batches run."""
 
     #: Routing key for the ``model=`` request field.
     model_id: str
@@ -52,14 +143,15 @@ class ModelSpec:
     builder: Union[str, Callable[..., Any]]
     #: Keyword arguments for the builder (must be picklable).
     builder_kwargs: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: Expected per-example input shape; pinned from the first request
-    #: when ``None``.
+    #: Expected per-example input shape; when ``None`` it is pinned from
+    #: the first batch the model serves successfully.
     input_shape: Optional[Tuple[int, ...]] = None
     #: Per-tenant serving knobs.
     config: ServingConfig = dataclasses.field(default_factory=ServingConfig)
 
     def build(self):
-        """Construct the MagNet (called inside each worker process)."""
+        """Construct the MagNet (in this process at ``workers=0``, else
+        inside each worker process)."""
         fn = self.builder
         if isinstance(fn, str):
             from repro.models.zoo import resolve_model_builder
@@ -87,7 +179,8 @@ class TenantState:
             self.adaptive = AdaptiveWaitController(
                 self.batcher, min_wait_ms=spec.config.min_wait_ms,
                 max_wait_ms=spec.config.max_wait_ms, tenant=spec.model_id)
-        #: Pinned per-example shape (from the spec, else first request).
+        #: Pinned per-example shape (from the spec, else the first batch
+        #: served successfully).
         self.input_shape: Optional[Tuple[int, ...]] = spec.input_shape
 
 

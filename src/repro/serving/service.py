@@ -1,27 +1,46 @@
-"""The online inference service: worker pool over batched MagNet passes.
+"""The serving service: one request lifecycle, two ways to run a batch.
 
-:class:`InferenceService` glues a :class:`~repro.serving.batcher.MicroBatcher`
-to a calibrated :class:`~repro.defenses.magnet.MagNet`: worker threads
-pull coalesced micro-batches, run one
-:meth:`~repro.defenses.magnet.MagNet.decide_batch` pass (detect → reform
-→ classify), and resolve each request's future with a per-request
-:class:`Verdict` — the reformed label, the detected flag, and every
-detector's score.  Because the pipeline is pure numpy that spends its
-time in GIL-releasing BLAS calls, threads (not processes) are the right
-worker pool: batches share the in-process model weights with zero
-serialization cost.
+:class:`ClusterService` serves every routed MagNet variant (tenant)
+through one lifecycle:
+
+1. ``submit`` routes the request's ``model`` field to its tenant
+   (:class:`~repro.serving.router.ModelRouter`), checks the input
+   shape, applies the ``priority`` tier's admission threshold
+   (:class:`~repro.serving.policy.TieredAdmission`) and queues the
+   request on the tenant's :class:`~repro.serving.batcher.MicroBatcher`;
+2. an executor runs each flushed micro-batch through one
+   :meth:`~repro.defenses.magnet.MagNet.decide_batch` pass (detect →
+   reform → classify):
+
+   * ``ClusterConfig(workers=0)`` — one thread per tenant blocks in
+     ``next_batch`` and runs the pass in this process: no copies, no
+     rings, no child processes;
+   * ``workers >= 1`` — :class:`~repro.serving.cluster.ProcessExecutor`
+     ships batches to OS-process workers over shared-memory rings and
+     restarts a worker that dies or hangs;
+
+3. the service turns the batch decision into one :class:`Verdict` per
+   request, records stats and spans, and resolves the futures;
+4. ``stop()`` is drain-then-stop: admissions close, queued and
+   in-flight work completes (within ``drain_timeout_s``), and whatever
+   is left fails with :class:`~repro.serving.batcher.ServingClosedError`.
+
+:class:`InferenceService` builds the one-tenant, ``workers=0`` service
+around a MagNet that is already built.
 
 Observability: when :mod:`repro.obs` is configured each request opens a
-``serve/request`` span at submit time; the flush that serves it emits a
-``serve/batch`` span (nested under the oldest request of the batch)
-with ``serve/detect`` / ``serve/reform`` / ``serve/classify`` child
-spans, so ``repro-experiments trace`` renders the full request →
-micro-batch → pipeline-stage tree.  Counters/gauges/histograms
-(``serve/requests``, ``serve/queue_depth``, ``serve/batch_size``, ...)
-feed the HTTP frontend's ``/metrics`` endpoint.
-:meth:`InferenceService.stats_snapshot` serves the same numbers
-in-process (and over HTTP via ``/stats``): counters plus p50/p95/p99
-queue/total latency over a bounded window.
+``serve/request`` span at submit time; each micro-batch emits a
+``serve/batch`` span nested under its oldest request, with
+``serve/detect`` / ``serve/reform`` / ``serve/classify`` children, at
+every worker count, so ``repro-experiments trace`` renders the request →
+micro-batch → pipeline-stage tree.  :meth:`ClusterService.stats_snapshot`
+(``/stats``) and :meth:`ClusterService.metrics_gauges` (``/metrics``)
+report the counters and latency percentiles.
+
+Determinism: every executor runs the *same* ``decide_batch`` on the
+*same* stacked float32 batch as the offline path, so served verdicts
+are bitwise-identical to offline evaluation for identical batch
+composition — asserted by the test suite and ``bench_serving.py``.
 """
 
 from __future__ import annotations
@@ -30,22 +49,23 @@ import dataclasses
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.defenses.magnet import MagNet
-from repro.obs import counter, event, record_span, span, start_span
-from repro.serving.batcher import (
-    MicroBatcher,
-    QueueFullError,
-    Request,
-    ServingClosedError,
-)
-from repro.serving.config import ServingConfig
+from repro.obs import attach_trace_context, counter, record_span, start_span
+from repro.serving.batcher import QueueFullError, Request, ServingClosedError
+from repro.serving.cluster import ProcessExecutor
+from repro.serving.config import ClusterConfig, ServingConfig
+from repro.serving.policy import ShedError, normalize_tier
+from repro.serving.router import ModelRouter, ModelSpec, ServiceStats
 from repro.utils.logging import get_logger
 
 log = get_logger(__name__)
+
+#: Pipeline stages of one batched MagNet pass, in order.
+STAGES = ("detect", "reform", "classify")
 
 
 @dataclasses.dataclass
@@ -66,158 +86,139 @@ class Verdict:
         return dataclasses.asdict(self)
 
 
-def _percentiles(values: Sequence[float]) -> Dict[str, Optional[float]]:
-    # An empty window has no percentiles: report null (None), not a
-    # fabricated 0.0 that dashboards would read as "zero latency".
-    if not values:
-        return {"p50": None, "p95": None, "p99": None}
-    arr = np.asarray(values, dtype=np.float64)
-    p50, p95, p99 = np.percentile(arr, (50, 95, 99))
-    return {"p50": round(float(p50), 3), "p95": round(float(p95), 3),
-            "p99": round(float(p99), 3)}
+@dataclasses.dataclass
+class Batch:
+    """One micro-batch of a tenant, from flush to its verdicts."""
+
+    tenant: Any                        # router.TenantState
+    requests: List[Request]
+    x: Optional[np.ndarray]            # stacked float32 input
+    started_at: float                  # monotonic time the flush began
+    span: Any = None                   # open serve/batch span (obs.Span)
 
 
-class ServiceStats:
-    """Thread-safe serving counters + bounded latency windows."""
+class _InProcessExecutor:
+    """``workers=0``: one thread per tenant runs its batches in-process."""
 
-    def __init__(self, window: int = 2048):
-        self._lock = threading.Lock()
-        self._queue_ms: List[float] = []
-        self._total_ms: List[float] = []
-        self._window = int(window)
-        self.completed = 0
-        self.rejected = 0
-        self.errors = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.max_batch_seen = 0
+    #: How often an idle tenant thread re-checks the halt flag.
+    _IDLE_POLL_S = 0.05
 
-    def note_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
+    def __init__(self, service: "ClusterService"):
+        self.service = service
+        self._threads: List[threading.Thread] = []
+        self._halt = threading.Event()
 
-    def note_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batched_requests += size
-            self.max_batch_seen = max(self.max_batch_seen, size)
+    def start(self) -> None:
+        for tenant in self.service.router.tenants():
+            model = tenant.spec.build()
+            t = threading.Thread(target=self._serve, args=(tenant, model),
+                                 name=f"repro-serve-{tenant.model_id}",
+                                 daemon=True)
+            t.start()
+            self._threads.append(t)
 
-    def note_request(self, queue_ms: float, total_ms: float) -> None:
-        with self._lock:
-            self.completed += 1
-            self._queue_ms.append(queue_ms)
-            self._total_ms.append(total_ms)
-            if len(self._queue_ms) > self._window:
-                del self._queue_ms[:-self._window]
-                del self._total_ms[:-self._window]
+    def _serve(self, tenant, model) -> None:
+        names = tuple(d.name for d in model.detectors)
+        while not self._halt.is_set():
+            requests = tenant.batcher.next_batch(timeout=self._IDLE_POLL_S)
+            if requests is None:
+                return                      # closed and drained
+            if not requests:
+                continue
+            batch = self.service._open_batch(tenant, requests)
+            if batch is None:
+                continue
+            t0 = time.perf_counter()
+            try:
+                with attach_trace_context(batch.span.context):
+                    decision = model.decide_batch(batch.x)
+            except Exception as exc:        # model failure: fail the batch,
+                log.exception("batch of %d failed", len(requests))
+                self.service._fail_batch(batch, exc)     # not the thread
+                continue
+            stage = decision.stage_s or {}
+            self.service._resolve_batch(
+                batch, (decision.labels_reformed, decision.labels_raw,
+                        decision.detected, decision.detector_flags,
+                        decision.detector_scores),
+                names, [stage.get(s, 0.0) for s in STAGES],
+                time.perf_counter() - t0)
 
-    def note_errors(self, n: int) -> None:
-        with self._lock:
-            self.errors += n
+    def wait_ready(self, timeout: float) -> bool:
+        return True                         # models are built in start()
 
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            mean_batch = (self.batched_requests / self.batches
-                          if self.batches else 0.0)
-            return {
-                "requests": {
-                    "completed": self.completed,
-                    "rejected": self.rejected,
-                    "errors": self.errors,
-                },
-                "batches": {
-                    "count": self.batches,
-                    "mean_size": round(mean_batch, 3),
-                    "max_size": self.max_batch_seen,
-                },
-                "latency_ms": {
-                    "queue": _percentiles(self._queue_ms),
-                    "total": _percentiles(self._total_ms),
-                },
-            }
+    def alive(self) -> bool:
+        return any(t.is_alive() for t in self._threads)
+
+    def stop(self, deadline: float) -> None:
+        for t in self._threads:             # drain: threads exit when empty
+            t.join(max(0.0, deadline - time.monotonic()))
+        self._halt.set()
+        for t in self._threads:
+            t.join(5.0)
+
+    def kill_worker(self, index: int) -> bool:
+        return False                        # no processes to kill
+
+    def snapshot(self) -> Dict[str, int]:
+        alive = sum(t.is_alive() for t in self._threads)
+        return {"alive": alive, "ready": alive, "restarts": 0,
+                "inflight": 0}
 
 
-class InferenceService:
-    """Micro-batching MagNet server with bounded admission.
+class ClusterService:
+    """Multi-tenant MagNet serving; batches run in- or out-of-process.
 
     Usage::
 
-        service = InferenceService(magnet, ServingConfig(max_batch=32))
-        with service:                      # starts/stops the worker pool
-            verdict = service.predict(x)   # one example in, one Verdict out
+        specs = [ModelSpec("default", build_toy_magnet, {"seed": 0}),
+                 ModelSpec("jsd", build_toy_magnet, {"seed": 1})]
+        with ClusterService(specs, ClusterConfig(workers=2)) as service:
+            verdict = service.predict(x, model="jsd",
+                                      priority="interactive")
 
     ``submit`` is the async form (returns a ``Future``); ``predict``
-    blocks.  Submissions beyond ``config.max_queue`` raise
-    :class:`QueueFullError` — explicit load shedding, never unbounded
-    queueing.
+    blocks.  Requests without ``model`` go to the default tenant, and
+    without ``priority`` to the ``standard`` tier.
     """
 
-    #: Poll interval for worker threads re-checking the stop flag.
-    _IDLE_POLL_S = 0.05
-
-    #: The single-model service ignores ``model=``/``priority=`` request
-    #: fields; :class:`~repro.serving.cluster.ClusterService` sets True.
-    supports_routing = False
-
-    def __init__(self, magnet: MagNet, config: Optional[ServingConfig] = None):
-        self.magnet = magnet
-        self.config = config or ServingConfig()
-        self.stats = ServiceStats(window=self.config.latency_window)
-        self._batcher = MicroBatcher(max_batch=self.config.max_batch,
-                                     max_wait_ms=self.config.max_wait_ms,
-                                     max_queue=self.config.max_queue)
-        self._threads: List[threading.Thread] = []
+    def __init__(self, specs: Sequence[ModelSpec],
+                 config: Optional[ClusterConfig] = None,
+                 default_model: Optional[str] = None):
+        self.config = config or ClusterConfig()
+        self.router = ModelRouter(specs, default_model=default_model)
+        self._executor = (_InProcessExecutor(self) if self.config.workers == 0
+                          else ProcessExecutor(self))
+        self._policy_thread: Optional[threading.Thread] = None
+        self._policy_stop = threading.Event()
         self._started = False
+        self._closing = False
         self._stopped = False
         self._started_at: Optional[float] = None
         self._id_lock = threading.Lock()
         self._next_id = 0
-        self._input_shape: Optional[Tuple[int, ...]] = None
-        self._policy_stop = threading.Event()
-        self.adaptive = None
-        if self.config.adaptive_wait:
-            from repro.serving.policy import AdaptiveWaitController
-            self.adaptive = AdaptiveWaitController(
-                self._batcher, min_wait_ms=self.config.min_wait_ms,
-                max_wait_ms=self.config.max_wait_ms)
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "InferenceService":
+    # -- lifecycle -----------------------------------------------------
+    def start(self) -> "ClusterService":
         if self._started:
             raise RuntimeError("service already started")
         self._started = True
         self._started_at = time.monotonic()
-        for i in range(self.config.workers):
-            t = threading.Thread(target=self._worker_loop,
-                                 name=f"repro-serve-{i}", daemon=True)
-            t.start()
-            self._threads.append(t)
-        if self.adaptive is not None:
-            t = threading.Thread(target=self._policy_loop,
-                                 name="repro-serve-policy", daemon=True)
-            t.start()
-            self._threads.append(t)
-        log.info("serving started: %d worker(s), max_batch=%d, "
-                 "max_wait_ms=%g, max_queue=%d", self.config.workers,
-                 self.config.max_batch, self.config.max_wait_ms,
-                 self.config.max_queue)
+        self._executor.start()
+        if any(t.adaptive is not None for t in self.router.tenants()):
+            self._policy_thread = threading.Thread(
+                target=self._policy_loop, name="repro-serve-policy",
+                daemon=True)
+            self._policy_thread.start()
+        log.info("serving started: %d model(s), workers=%d",
+                 len(self.router), self.config.workers)
         return self
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Stop admissions, drain queued requests, join the workers."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self._policy_stop.set()
-        self._batcher.close()
-        for t in self._threads:
-            t.join(timeout)
-        log.info("serving stopped: %d completed, %d rejected, %d errors",
-                 self.stats.completed, self.stats.rejected, self.stats.errors)
+    def wait_ready(self, timeout: float = 60.0) -> bool:
+        """Block until the models are built (at once when in-process)."""
+        return self._executor.wait_ready(timeout)
 
-    def __enter__(self) -> "InferenceService":
+    def __enter__(self) -> "ClusterService":
         if not self._started:
             self.start()
         return self
@@ -226,10 +227,9 @@ class InferenceService:
         self.stop()
 
     def healthy(self) -> bool:
-        """True while the worker pool is up and accepting requests."""
-        return (self._started and not self._stopped
-                and not self._batcher.closed
-                and any(t.is_alive() for t in self._threads))
+        """True while started, accepting requests, and able to run them."""
+        return (self._started and not self._closing and not self._stopped
+                and self._executor.alive())
 
     @property
     def uptime_s(self) -> float:
@@ -237,152 +237,262 @@ class InferenceService:
             return 0.0
         return time.monotonic() - self._started_at
 
-    # ------------------------------------------------------------------
-    # Request path
-    # ------------------------------------------------------------------
-    def _assign_id(self) -> str:
+    def model_ids(self) -> List[str]:
+        return self.router.model_ids()
+
+    def _policy_loop(self) -> None:
+        tenants = [t for t in self.router.tenants() if t.adaptive is not None]
+        while not self._policy_stop.wait(self.config.policy_interval_s):
+            for tenant in tenants:
+                tenant.adaptive.tick()
+
+    def stop(self, drain: bool = True,
+             timeout: Optional[float] = None) -> None:
+        """Drain-then-stop: close admissions, finish work, fail the rest."""
+        if self._stopped:
+            return
+        self._closing = True
+        self._policy_stop.set()
+        for tenant in self.router.tenants():
+            tenant.batcher.close()
+        if self._started:
+            budget = timeout if timeout is not None else \
+                self.config.drain_timeout_s
+            self._executor.stop(time.monotonic() + (budget if drain else 0))
+        # Whatever is still queued (never started, or the drain ran out
+        # of time) fails now rather than leaving its future pending.
+        exc = ServingClosedError("service stopped before serving request")
+        for tenant in self.router.tenants():
+            while True:
+                requests = tenant.batcher.next_batch(timeout=0)
+                if not requests:
+                    break
+                self._fail_batch(Batch(tenant, requests, None, 0.0), exc)
+        self._stopped = True
+        if self._policy_thread is not None:
+            self._policy_thread.join(5.0)
+        log.info("serving stopped: %s", self.stats_snapshot()["requests"])
+
+    # -- request path --------------------------------------------------
+    def submit(self, x: np.ndarray, request_id: Optional[str] = None,
+               model: Optional[str] = None,
+               priority: Optional[str] = None) -> "Future[Verdict]":
+        """Queue one example for ``model`` at ``priority``; async verdict.
+
+        Raises :class:`~repro.serving.router.UnknownModelError` for an
+        unrouted model id, ``ValueError`` for an unknown priority or a
+        shape that does not match the model's, :class:`ShedError` when
+        the request's tier must shed, :class:`QueueFullError` at the hard
+        queue bound, and :class:`ServingClosedError` once stopping.
+        """
+        if self._closing or self._stopped:
+            raise ServingClosedError("service is stopping")
+        tenant = self.router.resolve(model)
+        tier = normalize_tier(priority)
+        x = np.asarray(x, dtype=np.float32)
+        if tenant.input_shape is not None and x.shape != tenant.input_shape:
+            raise ValueError(
+                f"input shape {x.shape} does not match model "
+                f"{tenant.model_id!r}'s shape {tenant.input_shape} "
+                f"(one example per request)")
         with self._id_lock:
             self._next_id += 1
-            return f"r{self._next_id}"
-
-    def _check_shape(self, x: np.ndarray) -> None:
-        # The first request pins the service's input shape; later
-        # requests must match so the worker can np.stack the batch.
-        with self._id_lock:
-            if self._input_shape is None:
-                self._input_shape = x.shape
-            elif x.shape != self._input_shape:
-                raise ValueError(
-                    f"input shape {x.shape} does not match the service's "
-                    f"shape {self._input_shape} (one example per request)")
-
-    def submit(self, x: np.ndarray, request_id: Optional[str] = None
-               ) -> "Future[Verdict]":
-        """Queue one example; returns a future resolving to its Verdict."""
-        x = np.asarray(x, dtype=np.float32)
-        self._check_shape(x)
+            rid = request_id or f"r{self._next_id}"
         future: "Future[Verdict]" = Future()
-        rid = request_id or self._assign_id()
         request = Request(x=x, id=rid, future=future,
                           enqueued_at=time.monotonic(),
-                          span=start_span("serve/request", request=rid))
+                          span=start_span("serve/request", request=rid,
+                                          model=tenant.model_id, tier=tier))
         try:
-            self._batcher.submit(request)
-        except (QueueFullError, ServingClosedError) as exc:
-            self.stats.note_rejected()
+            # A full queue is the batcher's hard bound (QueueFullError)
+            # for every tier; below it, each tier sheds at its threshold.
+            depth = len(tenant.batcher)
+            if depth < tenant.config.max_queue:
+                tenant.admission.admit(tier, depth)
+            tenant.batcher.submit(request)
+        except (ShedError, QueueFullError, ServingClosedError) as exc:
+            tenant.stats.note_rejected()
             request.span.finish(rejected=type(exc).__name__)
             raise
         return future
 
-    def predict(self, x: np.ndarray, timeout: Optional[float] = None
-                ) -> Verdict:
+    def predict(self, x: np.ndarray, timeout: Optional[float] = None,
+                model: Optional[str] = None,
+                priority: Optional[str] = None) -> Verdict:
         """Blocking single-example inference through the batching queue."""
-        return self.submit(x).result(timeout)
+        return self.submit(x, model=model, priority=priority).result(timeout)
 
     def predict_many(self, xs: Sequence[np.ndarray],
-                     timeout: Optional[float] = None) -> List[Verdict]:
+                     timeout: Optional[float] = None,
+                     model: Optional[str] = None) -> List[Verdict]:
         """Submit a burst of examples and gather their verdicts in order."""
-        futures = [self.submit(x) for x in xs]
+        futures = [self.submit(x, model=model) for x in xs]
         return [f.result(timeout) for f in futures]
 
-    @property
-    def request_timeout_s(self) -> float:
-        return self.config.request_timeout_s
+    # -- batch path (called by the executors) --------------------------
+    def _open_batch(self, tenant, requests: List[Request]) -> Optional[Batch]:
+        """Stack a flushed batch and open its ``serve/batch`` span.
+
+        The span nests under the oldest request's span, so the trace
+        reads request -> micro-batch -> pipeline stages; the batch's
+        other requests close as their own trace roots.  Returns None
+        after failing the batch when its inputs do not stack (mixed
+        shapes before the tenant's shape is pinned).
+        """
+        started_at = time.monotonic()
+        parent = next((r.span.context for r in requests
+                       if r.span is not None and r.span.recording), None)
+        batch = Batch(tenant, requests, None, started_at,
+                      start_span("serve/batch", parent=parent,
+                                 batch=len(requests), model=tenant.model_id))
+        try:
+            batch.x = np.stack([r.x for r in requests])
+        except ValueError as exc:
+            self._fail_batch(batch, exc)
+            return None
+        return batch
+
+    def _resolve_batch(self, batch: Batch, arrays: Sequence[np.ndarray],
+                       names: Sequence[str], stage_s: Sequence[float],
+                       infer_s: float) -> None:
+        """Resolve every request of a served batch with its Verdict."""
+        labels_reformed, labels_raw, detected, flags, scores = arrays
+        tenant, requests = batch.tenant, batch.requests
+        n = len(requests)
+        if tenant.input_shape is None:      # first successful batch pins it
+            tenant.input_shape = requests[0].x.shape
+        tenant.stats.note_batch(n)
+        counter("serve/batches").inc()
+        counter("serve/requests").inc(n)
+        if batch.span.recording:
+            with attach_trace_context(batch.span.context):
+                for stage, seconds in zip(STAGES, stage_s):
+                    record_span(f"serve/{stage}", seconds, batch=n,
+                                model=tenant.model_id)
+        batch.span.finish(**{f"{s}_s": round(v, 6)
+                             for s, v in zip(STAGES, stage_s)},
+                          oldest_queue_ms=round(
+                              (batch.started_at - requests[0].enqueued_at)
+                              * 1000.0, 3))
+        infer_ms = round(infer_s * 1000.0, 3)
+        now = time.monotonic()
+        for i, r in enumerate(requests):
+            queue_ms = (batch.started_at - r.enqueued_at) * 1000.0
+            verdict = Verdict(
+                request_id=r.id,
+                label=int(labels_reformed[i]),
+                detected=bool(detected[i]),
+                label_raw=int(labels_raw[i]),
+                detector_scores={name: float(scores[d, i])
+                                 for d, name in enumerate(names)},
+                detector_flags={name: bool(flags[d, i])
+                                for d, name in enumerate(names)},
+                queue_ms=round(queue_ms, 3),
+                infer_ms=infer_ms,
+                batch_size=n,
+            )
+            tenant.stats.note_request(queue_ms,
+                                      (now - r.enqueued_at) * 1000.0)
+            if r.span is not None:
+                r.span.finish(queue_ms=round(queue_ms, 3), batch=n,
+                              detected=verdict.detected,
+                              model=tenant.model_id)
+            if not r.future.done():
+                r.future.set_result(verdict)
+
+    def _fail_batch(self, batch: Batch, exc: BaseException) -> None:
+        """Fail every request of a batch with ``exc``."""
+        n = len(batch.requests)
+        error = type(exc).__name__
+        batch.tenant.stats.note_errors(n)
+        counter("serve/errors").inc(n)
+        if batch.span is not None:
+            batch.span.finish(error=error)
+        for r in batch.requests:
+            if r.span is not None:
+                r.span.finish(error=error)
+            if not r.future.done():
+                r.future.set_exception(exc)
+
+    # -- introspection -------------------------------------------------
+    def kill_worker(self, index: int = 0) -> bool:
+        """SIGKILL one worker process (fault-injection hook).
+
+        Used by the crash-recovery tests and the serving benchmark to
+        prove accepted requests survive a worker loss.  Returns True
+        when a live worker was killed; always False at ``workers=0``.
+        """
+        return self._executor.kill_worker(index)
 
     def stats_snapshot(self) -> Dict[str, Any]:
-        """Counters, latency percentiles and config — the /stats payload."""
-        snap = self.stats.snapshot()
-        snap["requests"]["submitted"] = self._batcher.submitted
-        snap["queue_depth"] = len(self._batcher)
-        snap["uptime_s"] = round(self.uptime_s, 3)
-        snap["healthy"] = self.healthy()
-        snap["config"] = self.config.as_dict()
+        """Service-wide, per-model and executor stats (the /stats body)."""
+        tenants = self.router.tenants()
+        models: Dict[str, Any] = {}
+        shed_total = 0
+        for tenant in tenants:
+            snap = tenant.stats.snapshot()
+            snap["requests"]["submitted"] = tenant.batcher.submitted
+            snap["queue_depth"] = len(tenant.batcher)
+            snap["shed"] = tenant.admission.snapshot()
+            snap["wait_ms"] = round(tenant.batcher.max_wait_s * 1000.0, 3)
+            snap["config"] = tenant.config.as_dict()
+            models[tenant.model_id] = snap
+            shed_total += sum(snap["shed"].values())
+        snap = ServiceStats.merged([t.stats for t in tenants]).snapshot()
+        snap["requests"]["submitted"] = sum(
+            m["requests"]["submitted"] for m in models.values())
+        snap["requests"]["shed"] = shed_total
+        snap.update(
+            queue_depth=sum(m["queue_depth"] for m in models.values()),
+            models=models,
+            default_model=self.router.default_model,
+            cluster=dict(workers=self.config.workers,
+                         **self._executor.snapshot()),
+            uptime_s=round(self.uptime_s, 3),
+            healthy=self.healthy(),
+            config=self.config.as_dict())
         return snap
 
     def metrics_gauges(self) -> Dict[str, float]:
         """Extra gauges for /metrics; empty-window percentiles omitted."""
         snap = self.stats_snapshot()
-        extra = {"serve/uptime_seconds": snap["uptime_s"],
-                 "serve/healthy": 1.0 if snap["healthy"] else 0.0,
-                 "serve/queue_depth_now": snap["queue_depth"]}
-        for window, pcts in snap["latency_ms"].items():
-            for pct, value in pcts.items():
-                if value is not None:
-                    extra[f"serve/latency_{window}_ms_{pct}"] = value
+        extra: Dict[str, float] = {
+            "serve/uptime_seconds": snap["uptime_s"],
+            "serve/healthy": 1.0 if snap["healthy"] else 0.0,
+            "cluster/workers_alive": snap["cluster"]["alive"],
+            "cluster/restarts_total": snap["cluster"]["restarts"],
+            "cluster/inflight_now": snap["cluster"]["inflight"],
+        }
+        # Service-wide gauges unsuffixed, then each model's with _<model>.
+        scopes = [("", snap)] + [(f"_{mid}", m)
+                                 for mid, m in snap["models"].items()]
+        for suffix, scope in scopes:
+            extra[f"serve/queue_depth_now{suffix}"] = scope["queue_depth"]
+            for window, pcts in scope["latency_ms"].items():
+                for pct, value in pcts.items():
+                    if value is not None:
+                        extra[f"serve/latency_{window}_ms_{pct}{suffix}"] = \
+                            value
         return extra
 
-    # ------------------------------------------------------------------
-    # Worker pool
-    # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
-        while True:
-            batch = self._batcher.next_batch(timeout=self._IDLE_POLL_S)
-            if batch is None:
-                return                      # closed and drained
-            if batch:
-                self._run_batch(batch)
 
-    def _policy_loop(self) -> None:
-        while not self._policy_stop.wait(0.05):
-            self.adaptive.tick()
+class InferenceService(ClusterService):
+    """One-tenant, in-process (``workers=0``) service over a built MagNet.
 
-    def _run_batch(self, batch: List[Request]) -> None:
-        t_start = time.monotonic()
-        # The batch span nests under the oldest queued request's span, so
-        # the trace reads request -> micro-batch -> pipeline stages; the
-        # other requests of the batch close as their own trace roots.
-        parent = next((r.span.context for r in batch
-                       if r.span is not None and r.span.recording), None)
-        with span("serve/batch", parent=parent, batch=len(batch)) as batch_sp:
-            try:
-                x = np.stack([r.x for r in batch])
-                decision = self.magnet.decide_batch(x)
-            except Exception as exc:        # model failure: fail the batch,
-                self.stats.note_errors(len(batch))   # not the worker
-                log.exception("batch of %d failed", len(batch))
-                counter("serve/errors").inc(len(batch))
-                event("serve/error", batch=len(batch),
-                      error=type(exc).__name__)
-                batch_sp["error"] = type(exc).__name__
-                for r in batch:
-                    if r.span is not None:
-                        r.span.finish(error=type(exc).__name__)
-                    r.future.set_exception(exc)
-                return
-            infer_ms = (time.monotonic() - t_start) * 1000.0
-            stage_s = decision.stage_s or {}
-            names = [d.name for d in self.magnet.detectors]
-            self.stats.note_batch(len(batch))
-            counter("serve/batches").inc()
-            for stage in ("detect", "reform", "classify"):
-                record_span(f"serve/{stage}", stage_s.get(stage, 0.0),
-                            batch=len(batch))
-            batch_sp.update(
-                detect_s=round(stage_s.get("detect", 0.0), 6),
-                reform_s=round(stage_s.get("reform", 0.0), 6),
-                classify_s=round(stage_s.get("classify", 0.0), 6),
-                oldest_queue_ms=round(
-                    (t_start - batch[0].enqueued_at) * 1000.0, 3))
-        for i, r in enumerate(batch):
-            queue_ms = (t_start - r.enqueued_at) * 1000.0
-            verdict = Verdict(
-                request_id=r.id,
-                label=int(decision.labels_reformed[i]),
-                detected=bool(decision.detected[i]),
-                label_raw=int(decision.labels_raw[i]),
-                detector_scores={
-                    name: float(decision.detector_scores[d, i])
-                    for d, name in enumerate(names)},
-                detector_flags={
-                    name: bool(decision.detector_flags[d, i])
-                    for d, name in enumerate(names)},
-                queue_ms=round(queue_ms, 3),
-                infer_ms=round(infer_ms, 3),
-                batch_size=len(batch),
-            )
-            self.stats.note_request(queue_ms, queue_ms + infer_ms)
-            counter("serve/requests").inc()
-            if r.span is not None:
-                r.span.finish(queue_ms=round(queue_ms, 3), batch=len(batch),
-                              detected=verdict.detected)
-            r.future.set_result(verdict)
+    Usage::
+
+        service = InferenceService(magnet, ServingConfig(max_batch=32))
+        with service:                      # starts/stops the tenant thread
+            verdict = service.predict(x)   # one example in, one Verdict out
+
+    The tenant is named ``default``.  Submissions beyond
+    ``config.max_queue`` raise :class:`QueueFullError` — explicit load
+    shedding, never unbounded queueing.
+    """
+
+    def __init__(self, magnet: MagNet, config: Optional[ServingConfig] = None):
+        super().__init__(
+            [ModelSpec("default", lambda: magnet,
+                       config=config or ServingConfig())],
+            ClusterConfig(workers=0))
+        self.magnet = magnet

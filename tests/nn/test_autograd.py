@@ -1,5 +1,7 @@
 """Unit tests for the reverse-mode autodiff engine."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,31 @@ class TestBackwardMechanics:
         with pytest.raises(RuntimeError):
             with no_grad():
                 raise RuntimeError("boom")
+        assert ag.is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        # Two threads inside no_grad at once, leaving in the order that
+        # corrupted a process-wide flag (first in, first out): neither
+        # may switch graph recording off for the main thread.
+        gates = [threading.Event() for _ in range(4)]
+
+        def worker(entered, leave):
+            with no_grad():
+                entered.set()
+                assert leave.wait(5)
+
+        threads = [threading.Thread(target=worker, args=gates[i:i + 2])
+                   for i in (0, 2)]
+        threads[0].start()
+        assert gates[0].wait(5)
+        threads[1].start()
+        assert gates[2].wait(5)
+        assert ag.is_grad_enabled()
+        gates[1].set()
+        threads[0].join(5)
+        gates[3].set()
+        threads[1].join(5)
+        assert not any(t.is_alive() for t in threads)
         assert ag.is_grad_enabled()
 
     def test_deep_chain_does_not_overflow(self):

@@ -1,11 +1,13 @@
-"""Multi-process cluster integration tests.
+"""Multi-model service integration tests.
 
-Each test boots a real worker fleet (OS processes + shared-memory
-rings) around the deterministic toy zoo, so the suite covers the
-contracts the serving tier is sold on: routed multi-tenant round trips,
-bitwise equivalence with the offline pipeline, crash recovery without
-dropping accepted requests, graceful drain, and tiered shedding at the
-cluster submit path.
+Each test boots a real service around the deterministic two-model toy
+zoo, so the suite covers the contracts the serving tier is sold on:
+routed multi-tenant round trips, bitwise equivalence with the offline
+pipeline, graceful drain, tiered shedding at the submit path, and the
+routed HTTP surface.  Every contract class runs with one worker process
+(its ``workers`` attribute) and again in-process in the ``...InProcess``
+subclasses at the bottom of the file.  Crash recovery without dropping
+accepted requests needs worker processes, so it runs only with two.
 """
 
 import dataclasses
@@ -41,11 +43,13 @@ def _specs(**kwargs):
 
 
 class TestRoundTrip:
+    workers = 1
+
     def test_routed_predicts_and_stats(self):
         specs = _specs()
-        with ClusterService(specs, ClusterConfig(workers=2)) as cluster:
+        with ClusterService(specs,
+                            ClusterConfig(workers=self.workers)) as cluster:
             assert cluster.wait_ready(timeout=60)
-            assert cluster.supports_routing
             assert cluster.model_ids() == ["toy-0", "toy-1"]
             xs = _inputs(8)
             verdicts = [cluster.predict(xs[i], timeout=60,
@@ -57,11 +61,14 @@ class TestRoundTrip:
             snap = cluster.stats_snapshot()
             assert snap["requests"]["completed"] == 8
             assert set(snap["models"]) == {"toy-0", "toy-1"}
-            assert snap["cluster"]["alive"] == 2
+            assert snap["cluster"]["workers"] == self.workers
+            # Live worker processes, or one thread per model in-process.
+            assert snap["cluster"]["alive"] == (self.workers or len(specs))
             assert snap["healthy"]
 
     def test_unknown_model_and_bad_shape_rejected(self):
-        with ClusterService(_specs(), ClusterConfig(workers=1)) as cluster:
+        with ClusterService(_specs(),
+                            ClusterConfig(workers=self.workers)) as cluster:
             assert cluster.wait_ready(timeout=60)
             with pytest.raises(UnknownModelError) as err:
                 cluster.submit(_inputs(1)[0], model="toy-9")
@@ -72,7 +79,7 @@ class TestRoundTrip:
                                model="toy-0")
 
     def test_default_model_used_when_unrouted(self):
-        with ClusterService(_specs(), ClusterConfig(workers=1),
+        with ClusterService(_specs(), ClusterConfig(workers=self.workers),
                             default_model="toy-1") as cluster:
             assert cluster.wait_ready(timeout=60)
             v = cluster.predict(_inputs(1)[0], timeout=60)
@@ -82,8 +89,10 @@ class TestRoundTrip:
 
 
 class TestOfflineEquivalence:
+    workers = 1
+
     def test_bitwise_identical_per_model(self):
-        """Cluster verdicts == offline decide_batch, bit for bit.
+        """Served verdicts == offline decide_batch, bit for bit.
 
         Batch composition is pinned: all n requests per model are queued
         before the workers start with max_batch=n, so each tenant
@@ -97,7 +106,7 @@ class TestOfflineEquivalence:
                                        max_queue=4 * n))
             for spec in _specs()]
         xs = _inputs(n, seed=42)
-        cluster = ClusterService(specs, ClusterConfig(workers=2))
+        cluster = ClusterService(specs, ClusterConfig(workers=self.workers))
         futures = {spec.model_id: [cluster.submit(x, model=spec.model_id)
                                    for x in xs]
                    for spec in specs}
@@ -147,10 +156,12 @@ class TestCrashRecovery:
 
 
 class TestGracefulDrain:
+    workers = 1
+
     def test_stop_drains_queued_work(self):
         xs = _inputs(24, seed=3)
         cluster = ClusterService(_specs(max_queue=128),
-                                 ClusterConfig(workers=2))
+                                 ClusterConfig(workers=self.workers))
         cluster.start()
         try:
             assert cluster.wait_ready(timeout=60)
@@ -165,7 +176,8 @@ class TestGracefulDrain:
     def test_submit_after_stop_rejected(self):
         from repro.serving import ServingClosedError
 
-        cluster = ClusterService(_specs(), ClusterConfig(workers=1))
+        cluster = ClusterService(_specs(),
+                                 ClusterConfig(workers=self.workers))
         cluster.start()
         cluster.wait_ready(timeout=60)
         cluster.stop()
@@ -174,13 +186,15 @@ class TestGracefulDrain:
 
 
 class TestTieredShedding:
+    workers = 1
+
     def test_background_sheds_under_queue_pressure(self):
-        # Workers never started: nothing drains, so queue depth is
+        # Service never started: nothing drains, so queue depth is
         # exactly the number of accepted submits and the tier
         # thresholds trip deterministically (background at ceil(.45*20)
-        # = 9, standard at 14, interactive at 20).
+        # = 9, standard at 14; interactive only meets the hard bound).
         specs = _specs(max_queue=20, max_wait_ms=10_000)
-        cluster = ClusterService(specs, ClusterConfig(workers=1))
+        cluster = ClusterService(specs, ClusterConfig(workers=self.workers))
         xs = _inputs(20, seed=5)
         try:
             for i in range(9):
@@ -202,9 +216,12 @@ class TestTieredShedding:
 
 
 class TestClusterHTTP:
+    workers = 1
+
     @pytest.fixture()
     def served_cluster(self):
-        cluster = ClusterService(_specs(), ClusterConfig(workers=2))
+        cluster = ClusterService(_specs(),
+                                 ClusterConfig(workers=self.workers))
         cluster.start()
         assert cluster.wait_ready(timeout=60)
         server, _ = serve_in_thread(cluster, "127.0.0.1", 0)
@@ -284,3 +301,24 @@ class TestClusterHTTP:
             assert status == 200
             assert "cluster_workers_alive" in text
             assert "serve_requests_total" in text
+
+
+# The same contract, served in-process.
+class TestRoundTripInProcess(TestRoundTrip):
+    workers = 0
+
+
+class TestOfflineEquivalenceInProcess(TestOfflineEquivalence):
+    workers = 0
+
+
+class TestGracefulDrainInProcess(TestGracefulDrain):
+    workers = 0
+
+
+class TestTieredSheddingInProcess(TestTieredShedding):
+    workers = 0
+
+
+class TestClusterHTTPInProcess(TestClusterHTTP):
+    workers = 0

@@ -1,4 +1,9 @@
-"""HTTP frontend tests: endpoints, error codes, backpressure mapping."""
+"""HTTP frontend tests: endpoints, error codes, backpressure mapping.
+
+Every class runs in-process (its ``workers`` attribute is 0, served by
+:class:`InferenceService`) and again with one worker process in the
+``...Processes`` subclasses at the bottom of the file.
+"""
 
 import json
 import threading
@@ -8,8 +13,25 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.serving import InferenceService, ServingConfig, serve_in_thread
+from repro.serving import (
+    ClusterConfig,
+    ClusterService,
+    InferenceService,
+    ModelSpec,
+    ServingConfig,
+    serve_in_thread,
+)
 from repro.serving.smoke import DIM, build_toy_magnet
+
+
+def _service(workers, seed, **config):
+    """One toy model named ``default`` at ``workers``."""
+    config = ServingConfig(**config)
+    if workers == 0:
+        return InferenceService(build_toy_magnet(seed=seed), config)
+    return ClusterService(
+        [ModelSpec("default", "toy", {"seed": seed}, config=config)],
+        ClusterConfig(workers=workers))
 
 
 def _get(base, path, timeout=10):
@@ -33,11 +55,10 @@ def _post(base, path, payload, timeout=10):
 
 
 @pytest.fixture()
-def served():
+def served(request):
     """A running toy service + HTTP server on an ephemeral port."""
-    service = InferenceService(
-        build_toy_magnet(seed=11),
-        ServingConfig(max_batch=8, max_wait_ms=2, max_queue=32))
+    service = _service(request.cls.workers, 11, max_batch=8, max_wait_ms=2,
+                       max_queue=32)
     service.start()
     server, thread = serve_in_thread(service, "127.0.0.1", 0)
     host, port = server.server_address[:2]
@@ -54,6 +75,8 @@ def _x(seed=0):
 
 
 class TestEndpoints:
+    workers = 0
+
     def test_healthz_ok(self, served):
         base, _ = served
         status, body = _get(base, "/healthz")
@@ -81,7 +104,8 @@ class TestEndpoints:
         assert stats["requests"]["completed"] >= 3
         assert stats["batches"]["count"] >= 1
         assert "p95" in stats["latency_ms"]["total"]
-        assert stats["config"]["max_batch"] == 8
+        assert stats["models"]["default"]["config"]["max_batch"] == 8
+        assert stats["cluster"]["workers"] == self.workers
 
     def test_metrics_prometheus_exposition(self, served):
         base, _ = served
@@ -116,6 +140,8 @@ class TestEndpoints:
 
 
 class TestErrorMapping:
+    workers = 0
+
     def test_unknown_path_404(self, served):
         base, _ = served
         assert _get(base, "/nope")[0] == 404
@@ -142,6 +168,18 @@ class TestErrorMapping:
         assert _post(base, "/predict", {"x": _x().tolist()})[0] == 200
         assert _post(base, "/predict", {"x": [0.0] * (DIM + 1)})[0] == 400
 
+    def test_routing_fields(self, served):
+        base, _ = served
+        x = _x().tolist()
+        assert _post(base, "/predict", {"x": x, "model": "default",
+                                        "priority": "background"})[0] == 200
+        status, body = _post(base, "/predict", {"x": x, "model": "nope"})
+        assert status == 404
+        assert body["models"] == ["default"]
+        assert _post(base, "/predict", {"x": x, "priority": "vip"})[0] == 400
+        assert _get(base, "/models") == (200, {"models": ["default"],
+                                               "default_model": "default"})
+
     def test_empty_body_400(self, served):
         base, _ = served
         req = urllib.request.Request(f"{base}/predict", data=b"",
@@ -153,12 +191,13 @@ class TestErrorMapping:
 
 
 class TestBackpressureHTTP:
+    workers = 0
+
     def test_queue_full_maps_to_429(self):
-        # Workers never started → the queue cannot drain; depth 1 fills
+        # Service never started → the queue cannot drain; depth 1 fills
         # after a single in-process submit.
-        service = InferenceService(
-            build_toy_magnet(seed=12),
-            ServingConfig(max_batch=4, max_wait_ms=10_000, max_queue=1))
+        service = _service(self.workers, 12, max_batch=4, max_wait_ms=10_000,
+                           max_queue=1)
         server, thread = serve_in_thread(service, "127.0.0.1", 0)
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"
@@ -173,8 +212,7 @@ class TestBackpressureHTTP:
             service.stop()
 
     def test_stopped_service_healthz_503(self):
-        service = InferenceService(build_toy_magnet(seed=13),
-                                   ServingConfig(max_wait_ms=1))
+        service = _service(self.workers, 13, max_wait_ms=1)
         service.start()
         server, thread = serve_in_thread(service, "127.0.0.1", 0)
         host, port = server.server_address[:2]
@@ -188,3 +226,16 @@ class TestBackpressureHTTP:
         finally:
             server.shutdown()
             server.server_close()
+
+
+# The same contract, served by one worker process.
+class TestEndpointsProcesses(TestEndpoints):
+    workers = 1
+
+
+class TestErrorMappingProcesses(TestErrorMapping):
+    workers = 1
+
+
+class TestBackpressureHTTPProcesses(TestBackpressureHTTP):
+    workers = 1

@@ -1,4 +1,8 @@
-"""InferenceService tests: verdicts, equality with offline MagNet, errors.
+"""Serving contract tests: verdicts, equality with offline MagNet, errors.
+
+Every contract class runs at the worker count in its ``workers``
+attribute: in-process (0) here, and again with one worker process in
+the ``...Processes`` subclasses at the bottom of the file.
 
 Most tests use the fast toy MagNet from :mod:`repro.serving.smoke`
 (untrained dense models, no disk, ~ms); the offline-equality test also
@@ -16,8 +20,10 @@ from repro.defenses.detectors import ReconstructionDetector
 from repro.defenses.magnet import MagNet
 from repro.defenses.reformer import Reformer
 from repro.serving import (
-    Client,
+    ClusterConfig,
+    ClusterService,
     InferenceService,
+    ModelSpec,
     QueueFullError,
     ServingClosedError,
     ServingConfig,
@@ -34,10 +40,20 @@ def _inputs(n, seed=0):
     return np.random.default_rng(seed).random((n, DIM)).astype(np.float32)
 
 
+def _service(workers, config=None, builder=None):
+    """One-model service at ``workers``; the default model is toy_magnet."""
+    spec = ModelSpec("default", builder or "toy",
+                     {} if builder else {"seed": 3},
+                     config=config or ServingConfig())
+    return ClusterService([spec], ClusterConfig(workers=workers))
+
+
 class TestPredict:
+    workers = 0
+
     def test_single_predict_round_trip(self, toy_magnet):
-        with InferenceService(toy_magnet, ServingConfig(max_batch=4,
-                                                        max_wait_ms=1)) as s:
+        with _service(self.workers, ServingConfig(max_batch=4,
+                                                  max_wait_ms=1)) as s:
             verdict = s.predict(_inputs(1)[0], timeout=10)
         assert isinstance(verdict.label, int)
         assert isinstance(verdict.detected, bool)
@@ -48,36 +64,40 @@ class TestPredict:
 
     def test_burst_is_batched(self, toy_magnet):
         config = ServingConfig(max_batch=8, max_wait_ms=20, max_queue=64)
-        with InferenceService(toy_magnet, config) as s:
+        with _service(self.workers, config) as s:
             verdicts = s.predict_many(list(_inputs(16)), timeout=10)
         assert len(verdicts) == 16
         # A 16-burst against max_batch=8 must produce multi-request batches.
         assert max(v.batch_size for v in verdicts) > 1
-        assert s.stats.batches < 16
-
-    def test_client_frontend(self, toy_magnet):
-        with InferenceService(toy_magnet, ServingConfig(max_wait_ms=1)) as s:
-            client = Client(s)
-            assert client.healthy()
-            verdict = client.predict(_inputs(1)[0], timeout=10)
-            assert verdict.request_id
-            snap = client.stats()
-        assert snap["requests"]["completed"] == 1
-        assert snap["config"]["max_batch"] == 32
+        assert s.stats_snapshot()["batches"]["count"] < 16
 
     def test_shape_mismatch_rejected(self, toy_magnet):
-        with InferenceService(toy_magnet, ServingConfig(max_wait_ms=1)) as s:
+        with _service(self.workers, ServingConfig(max_wait_ms=1)) as s:
             s.predict(_inputs(1)[0], timeout=10)
             with pytest.raises(ValueError, match="shape"):
                 s.submit(np.zeros(DIM + 1, dtype=np.float32))
 
+    def test_bad_first_request_does_not_pin_shape(self, toy_magnet):
+        # Only a successfully served batch pins the model's input shape:
+        # a malformed first request fails alone and the service recovers.
+        with _service(self.workers, ServingConfig(max_wait_ms=1)) as s:
+            with pytest.raises(Exception):
+                s.predict(np.zeros(3, dtype=np.float32), timeout=10)
+            verdict = s.predict(_inputs(1)[0], timeout=10)
+            assert verdict.label >= 0
+            with pytest.raises(ValueError, match="shape"):
+                s.submit(np.zeros(3, dtype=np.float32))
+
     def test_stats_snapshot_shape(self, toy_magnet):
-        with InferenceService(toy_magnet, ServingConfig(max_wait_ms=1)) as s:
+        with _service(self.workers, ServingConfig(max_wait_ms=1)) as s:
             s.predict_many(list(_inputs(4)), timeout=10)
             snap = s.stats_snapshot()
         assert snap["requests"]["completed"] == 4
         assert snap["requests"]["rejected"] == 0
         assert snap["batches"]["count"] >= 1
+        assert snap["models"]["default"]["requests"]["completed"] == 4
+        assert snap["models"]["default"]["config"]["max_wait_ms"] == 1
+        assert snap["cluster"]["workers"] == self.workers
         for series in ("queue", "total"):
             p = snap["latency_ms"][series]
             assert p["p50"] <= p["p95"] <= p["p99"]
@@ -86,6 +106,8 @@ class TestPredict:
 class TestEquality:
     """Serving verdicts == offline MagNet on the same batch composition."""
 
+    workers = 0
+
     def _assert_equal(self, magnet, xs):
         # Controlled coalescing: submit everything BEFORE starting the
         # worker with max_batch >= N, so the service runs one batch whose
@@ -93,9 +115,10 @@ class TestEquality:
         # are not bitwise stable across different BLAS batch shapes, so
         # equality is defined over identical batch composition.)
         n = len(xs)
-        service = InferenceService(
-            magnet, ServingConfig(max_batch=n, max_wait_ms=10_000,
-                                  max_queue=2 * n))
+        service = _service(self.workers,
+                           ServingConfig(max_batch=n, max_wait_ms=10_000,
+                                         max_queue=2 * n),
+                           builder=lambda: magnet)
         futures = [service.submit(x) for x in xs]
         service.start()
         try:
@@ -111,6 +134,8 @@ class TestEquality:
             for d, det in enumerate(magnet.detectors):
                 assert v.detector_flags[det.name] == bool(
                     offline.detector_flags[d, i])
+                assert v.detector_scores[det.name] == float(
+                    offline.detector_scores[d, i])
 
     def test_toy_magnet_bitwise(self, toy_magnet):
         self._assert_equal(toy_magnet, list(_inputs(12, seed=5)))
@@ -125,11 +150,13 @@ class TestEquality:
 
 
 class TestBackpressure:
+    workers = 0
+
     def test_queue_full_rejects_and_counts(self, toy_magnet):
-        # Workers never started → the queue cannot drain.
-        service = InferenceService(
-            toy_magnet, ServingConfig(max_batch=4, max_wait_ms=10_000,
-                                      max_queue=2))
+        # Service never started → the queue cannot drain.
+        service = _service(self.workers,
+                           ServingConfig(max_batch=4, max_wait_ms=10_000,
+                                         max_queue=2))
         service.submit(_inputs(1)[0])
         service.submit(_inputs(1)[0])
         with pytest.raises(QueueFullError):
@@ -138,21 +165,31 @@ class TestBackpressure:
         service.stop()
 
     def test_submit_after_stop_raises(self, toy_magnet):
-        service = InferenceService(toy_magnet, ServingConfig(max_wait_ms=1))
+        service = _service(self.workers, ServingConfig(max_wait_ms=1))
         service.start()
         service.stop()
         with pytest.raises(ServingClosedError):
             service.submit(_inputs(1)[0])
 
     def test_stop_drains_queued_requests(self, toy_magnet):
-        service = InferenceService(
-            toy_magnet, ServingConfig(max_batch=4, max_wait_ms=10_000,
-                                      max_queue=64))
+        service = _service(self.workers,
+                           ServingConfig(max_batch=4, max_wait_ms=10_000,
+                                         max_queue=64))
         futures = [service.submit(x) for x in _inputs(3)]
         service.start()
         service.stop()                 # close + drain + join
         for f in futures:
             assert f.result(timeout=1).label >= 0
+
+    def test_stop_before_start_fails_queued(self, toy_magnet):
+        # Nothing will ever serve these: stop() must fail them, not leave
+        # their futures pending forever.
+        service = _service(self.workers)
+        futures = [service.submit(x) for x in _inputs(2)]
+        service.stop()
+        for f in futures:
+            with pytest.raises(ServingClosedError):
+                f.result(timeout=2)
 
 
 class _ExplodingMagnet:
@@ -165,9 +202,12 @@ class _ExplodingMagnet:
 
 
 class TestErrors:
+    workers = 0
+
     def test_model_failure_fails_futures_not_worker(self, toy_magnet):
-        service = InferenceService(_ExplodingMagnet(),
-                                   ServingConfig(max_batch=2, max_wait_ms=1))
+        service = _service(self.workers,
+                           ServingConfig(max_batch=2, max_wait_ms=1),
+                           builder=_ExplodingMagnet)
         service.start()
         future = service.submit(_inputs(1)[0])
         with pytest.raises(RuntimeError, match="exploded"):
@@ -178,7 +218,7 @@ class TestErrors:
         service.stop()
 
     def test_healthy_lifecycle(self, toy_magnet):
-        service = InferenceService(toy_magnet, ServingConfig(max_wait_ms=1))
+        service = _service(self.workers, ServingConfig(max_wait_ms=1))
         assert not service.healthy()      # not started
         service.start()
         assert service.healthy()
@@ -187,7 +227,7 @@ class TestErrors:
         assert not service.healthy()
 
     def test_double_start_raises(self, toy_magnet):
-        service = InferenceService(toy_magnet)
+        service = _service(self.workers)
         service.start()
         with pytest.raises(RuntimeError, match="started"):
             service.start()
@@ -195,11 +235,13 @@ class TestErrors:
 
 
 class TestConcurrentClients:
+    workers = 0
+
     def test_many_threads_all_served(self, toy_magnet):
         config = ServingConfig(max_batch=8, max_wait_ms=2, max_queue=256)
         xs = _inputs(48, seed=9)
         results = [None] * len(xs)
-        with InferenceService(toy_magnet, config) as service:
+        with _service(self.workers, config) as service:
             def run(i):
                 results[i] = service.predict(xs[i], timeout=30)
 
@@ -218,8 +260,10 @@ class TestConcurrentClients:
 class TestEmptyWindowPercentiles:
     """An idle service reports null percentiles, not fabricated zeros."""
 
+    workers = 0
+
     def test_snapshot_before_any_traffic(self, toy_magnet):
-        service = InferenceService(toy_magnet, ServingConfig(max_wait_ms=1))
+        service = _service(self.workers, ServingConfig(max_wait_ms=1))
         try:
             snap = service.stats_snapshot()
         finally:
@@ -230,7 +274,7 @@ class TestEmptyWindowPercentiles:
         assert snap["requests"]["completed"] == 0
 
     def test_metrics_gauges_skip_null_percentiles(self, toy_magnet):
-        service = InferenceService(toy_magnet, ServingConfig(max_wait_ms=1))
+        service = _service(self.workers, ServingConfig(max_wait_ms=1))
         try:
             gauges = service.metrics_gauges()
         finally:
@@ -239,25 +283,70 @@ class TestEmptyWindowPercentiles:
         assert all(v is not None for v in gauges.values())
 
     def test_percentiles_populate_after_traffic(self, toy_magnet):
-        with InferenceService(toy_magnet, ServingConfig(max_wait_ms=1)) as s:
+        with _service(self.workers, ServingConfig(max_wait_ms=1)) as s:
             s.predict(_inputs(1)[0], timeout=10)
             snap = s.stats_snapshot()
         assert snap["latency_ms"]["total"]["p50"] is not None
 
 
 class TestAdaptiveWaitService:
+    workers = 0
+
     def test_policy_loop_shrinks_wait_when_idle(self, toy_magnet):
         config = ServingConfig(max_batch=8, max_wait_ms=8.0, max_queue=64,
                                adaptive_wait=True, min_wait_ms=0.25)
-        with InferenceService(toy_magnet, config) as service:
+        with _service(self.workers, config) as service:
             # A few requests, then idleness: AIMD decrease should walk
             # the live wait down from the configured 8 ms ceiling.
             service.predict_many(list(_inputs(4)), timeout=10)
+            tenant = service.router.resolve()
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
-                if service._batcher.max_wait_s * 1000.0 <= 1.0:
+                if tenant.batcher.max_wait_s * 1000.0 <= 1.0:
                     break
                 time.sleep(0.05)
-            assert service._batcher.max_wait_s * 1000.0 <= 1.0
-            assert service.adaptive is not None
-            assert service.adaptive.adjustments >= 1
+            assert tenant.batcher.max_wait_s * 1000.0 <= 1.0
+            assert tenant.adaptive is not None
+            assert tenant.adaptive.adjustments >= 1
+
+
+class TestInferenceService:
+    def test_one_model_in_process_over_a_built_magnet(self, toy_magnet):
+        with InferenceService(toy_magnet, ServingConfig(max_wait_ms=1)) as s:
+            verdict = s.predict(_inputs(1)[0], timeout=10)
+            assert s.magnet is toy_magnet
+            assert s.model_ids() == ["default"]
+            assert s.config.workers == 0
+        assert s.stats_snapshot()["models"]["default"]["requests"][
+            "completed"] == 1
+        assert verdict.label == int(
+            toy_magnet.decide_batch(_inputs(1)).labels_reformed[0])
+
+
+# The same contract, served by one worker process.
+class TestPredictProcesses(TestPredict):
+    workers = 1
+
+
+class TestEqualityProcesses(TestEquality):
+    workers = 1
+
+
+class TestBackpressureProcesses(TestBackpressure):
+    workers = 1
+
+
+class TestErrorsProcesses(TestErrors):
+    workers = 1
+
+
+class TestConcurrentClientsProcesses(TestConcurrentClients):
+    workers = 1
+
+
+class TestEmptyWindowPercentilesProcesses(TestEmptyWindowPercentiles):
+    workers = 1
+
+
+class TestAdaptiveWaitServiceProcesses(TestAdaptiveWaitService):
+    workers = 1

@@ -313,7 +313,7 @@ class TestServeCLI:
         assert args.max_batch == 32
         assert args.max_wait_ms == 5.0
         assert args.max_queue == 256
-        assert args.workers == 1
+        assert args.workers == 0
         assert args.max_requests is None
 
     def test_serve_bad_dataset_rejected(self):
@@ -321,16 +321,16 @@ class TestServeCLI:
             self._parser().parse_args(["serve", "--dataset", "sounds"])
 
     def test_serving_config_validation(self):
-        from repro.serving import ServingConfig
+        from repro.serving import ClusterConfig, ServingConfig
 
         with pytest.raises(ValueError):
             ServingConfig(max_batch=0)
         with pytest.raises(ValueError):
             ServingConfig(max_wait_ms=-1)
         with pytest.raises(ValueError):
-            ServingConfig(workers=0)
-        with pytest.raises(ValueError):
             ServingConfig(request_timeout_s=0)
+        with pytest.raises(ValueError):
+            ClusterConfig(workers=-1)
         assert ServingConfig(max_wait_ms=0).max_wait_s == 0.0
 
 

@@ -1,8 +1,7 @@
 #!/usr/bin/env python
-"""Benchmark the pluggable kernel backends against the numpy default.
+"""Benchmark the fft conv kernel against the numpy reference.
 
-Three stages, each run for every registered backend (numpy / fft /
-buffered):
+Three stages, each run on both conv kernels (numpy / fft):
 
 * **conv microbench** — forward, backward-input and backward-weight
   timings on the paper profile's autoencoder conv shapes (256 filters at
@@ -14,18 +13,14 @@ buffered):
   reported as seconds per model dispatch (the attack inner loop).
 
 Every stage doubles as an **equivalence gate** (exit 1 on divergence):
+``fft`` must match ``numpy`` within its documented scale-relative
+tolerance on single dispatches (``FFT_GATE_RTOL`` x the output's max
+magnitude; see docs/nn_backends.md for why iterated trajectories are
+compared loosely instead: per-step tolerance errors compound and can
+flip borderline attack successes).
 
-* ``buffered`` must be *bitwise* identical to ``numpy`` everywhere —
-  outputs, gradients, training losses, crafted examples;
-* ``fft`` must match within its documented scale-relative tolerance on
-  single dispatches (``FFT_GATE_RTOL`` x the output's max magnitude;
-  see docs/nn_backends.md for why iterated trajectories are compared
-  loosely instead: per-step tolerance errors compound and can flip
-  borderline attack successes).
-
-The acceptance budget (full mode only) is a >=1.5x speedup of the best
-alternative backend over numpy on the summed paper-shape conv
-microbench.  ``--quick`` shrinks batches/budgets for CI and skips the
+The acceptance budget (full mode only) is a >=1.5x speedup of fft over
+numpy on the summed paper-shape conv microbench.  ``--quick`` shrinks batches/budgets for CI and skips the
 wall-clock floor (timings on shared runners are noise) but keeps every
 equivalence gate.
 
@@ -44,8 +39,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Acceptance floor: best alternative backend vs numpy on the summed
-#: paper-shape conv microbench (fwd + both backwards).
+#: Acceptance floor: fft vs numpy on the summed paper-shape conv
+#: microbench (fwd + both backwards).
 SPEEDUP_FLOOR = 1.5
 
 #: Scale-relative gate for single FFT dispatches: max|a - ref| must stay
@@ -85,10 +80,10 @@ def _best_of(repeats, fn):
 
 
 def _bench_conv(backends, shapes, repeats, failures) -> dict:
-    """Per-backend fwd/bwd conv timings + the hard equivalence gate."""
+    """Per-kernel fwd/bwd conv timings + the hard equivalence gate."""
     import numpy as np
 
-    from repro.nn.backend import get_backend
+    from repro.nn.backend import KERNELS
 
     stage = {}
     rng = np.random.default_rng(0)
@@ -97,15 +92,16 @@ def _bench_conv(backends, shapes, repeats, failures) -> dict:
         w = (rng.standard_normal((co, ci, k, k)).astype(np.float32)
              / np.sqrt(ci * k * k))
         b = rng.standard_normal(co).astype(np.float32)
-        ref_out, ref_ctx = get_backend("numpy").conv2d_forward(
+        ref = KERNELS["numpy"]
+        ref_out, ref_ctx = ref.conv2d_forward(
             x, w, b, stride, padding, 1, needs_grad=True)
         g = rng.standard_normal(ref_out.shape).astype(np.float32)
-        ref_gx = get_backend("numpy").conv2d_backward_input(ref_ctx, g)
-        ref_gw = get_backend("numpy").conv2d_backward_weight(ref_ctx, g)
+        ref_gx = ref.conv2d_backward_input(ref_ctx, g)
+        ref_gw = ref.conv2d_backward_weight(ref_ctx, g)
 
         shape_row = {"shape": f"{n}x{ci}x{hw}x{hw} -> {co} ({k}x{k})"}
         for bk_name in backends:
-            be = get_backend(bk_name)
+            be = KERNELS[bk_name]
             fwd_s, (out, ctx) = _best_of(repeats, lambda: be.conv2d_forward(
                 x, w, b, stride, padding, 1, needs_grad=True))
             bx_s, gx = _best_of(
@@ -115,20 +111,11 @@ def _bench_conv(backends, shapes, repeats, failures) -> dict:
             errs = {"out": _rel_err(out, ref_out),
                     "gx": _rel_err(gx, ref_gx),
                     "gw": _rel_err(gw, ref_gw)}
-            if be.bitwise:
-                for field, (got, ref) in (("out", (out, ref_out)),
-                                          ("gx", (gx, ref_gx)),
-                                          ("gw", (gw, ref_gw))):
-                    if not np.array_equal(got, ref):
-                        failures.append(
-                            f"conv/{name}: {bk_name} {field} not bitwise "
-                            f"equal to numpy (max rel err {errs[field]:.2e})")
-            else:
-                for field, err in errs.items():
-                    if err > FFT_GATE_RTOL:
-                        failures.append(
-                            f"conv/{name}: {bk_name} {field} rel err "
-                            f"{err:.2e} exceeds gate {FFT_GATE_RTOL:.0e}")
+            for field, err in errs.items():
+                if err > FFT_GATE_RTOL:
+                    failures.append(
+                        f"conv/{name}: {bk_name} {field} rel err "
+                        f"{err:.2e} exceeds gate {FFT_GATE_RTOL:.0e}")
             shape_row[bk_name] = {
                 "fwd_s": round(fwd_s, 4),
                 "bwd_input_s": round(bx_s, 4),
@@ -145,7 +132,7 @@ def _bench_conv(backends, shapes, repeats, failures) -> dict:
 
 def _bench_ae_epoch(backends, width, batch, samples, repeats,
                     failures) -> dict:
-    """One autoencoder training epoch per backend, loss-gated."""
+    """One autoencoder training epoch per kernel, loss-gated."""
     import numpy as np
 
     from repro.nn import Conv2D, Sequential, Sigmoid, Trainer
@@ -153,16 +140,18 @@ def _bench_ae_epoch(backends, width, batch, samples, repeats,
     rng = np.random.default_rng(3)
     x = rng.random((samples, 1, 28, 28)).astype(np.float32)
 
-    def build():
+    def build(conv_kernel):
         return Sequential(
-            Conv2D(1, width, 3, rng=np.random.default_rng(10)), Sigmoid(),
-            Conv2D(width, 1, 3, rng=np.random.default_rng(11)), Sigmoid())
+            Conv2D(1, width, 3, rng=np.random.default_rng(10),
+                   conv_kernel=conv_kernel), Sigmoid(),
+            Conv2D(width, 1, 3, rng=np.random.default_rng(11),
+                   conv_kernel=conv_kernel), Sigmoid())
 
     stage = {"width": width, "batch": batch, "samples": samples}
     losses = {}
     for bk_name in backends:
         def epoch():
-            trainer = Trainer(build(), loss="mse", seed=0, backend=bk_name)
+            trainer = Trainer(build(bk_name), loss="mse", seed=0)
             return trainer.fit(x, None, epochs=1, batch_size=batch,
                                verbose=False).final_train_loss
 
@@ -173,16 +162,10 @@ def _bench_ae_epoch(backends, width, batch, samples, repeats,
         print(f"[bench_nn] ae_epoch {bk_name}: {wall_s:.2f}s "
               f"loss={loss:.6f}", flush=True)
 
-    from repro.nn.backend import get_backend
     for bk_name in backends:
         if bk_name == "numpy":
             continue
-        if get_backend(bk_name).bitwise:
-            if losses[bk_name] != losses["numpy"]:
-                failures.append(
-                    f"ae_epoch: {bk_name} loss {losses[bk_name]!r} != "
-                    f"numpy loss {losses['numpy']!r} (bitwise backend)")
-        elif abs(losses[bk_name] - losses["numpy"]) > \
+        if abs(losses[bk_name] - losses["numpy"]) > \
                 1e-2 * max(abs(losses["numpy"]), 1e-12):
             failures.append(
                 f"ae_epoch: {bk_name} loss {losses[bk_name]:.8f} diverged "
@@ -191,12 +174,13 @@ def _bench_ae_epoch(backends, width, batch, samples, repeats,
 
 
 def _bench_ead(backends, budget, batch, failures) -> dict:
-    """EAD per-dispatch seconds per backend, gated on crafted outputs."""
+    """EAD per-dispatch seconds per kernel, gated on crafted outputs."""
     import numpy as np
 
     from repro.attacks import EAD, logits_of
     from repro.datasets import load_digit_splits
     from repro.models import ClassifierSpec, ModelZoo
+    from repro.nn import set_conv_kernel
     from repro.obs import counter
     from repro.utils.cache import DiskCache
 
@@ -214,8 +198,8 @@ def _bench_ead(backends, budget, batch, failures) -> dict:
     results = {}
     dispatches = counter("attack/dispatches")
     for bk_name in backends:
-        attack = EAD(model, beta=1e-1, kappa=0.0,
-                     backend=bk_name, **budget)
+        attack = EAD(set_conv_kernel(model, bk_name), beta=1e-1, kappa=0.0,
+                     **budget)
         before = dispatches.value
         t0 = time.perf_counter()
         result = attack.attack(x0, y0)
@@ -234,42 +218,35 @@ def _bench_ead(backends, budget, batch, failures) -> dict:
               f"({stage[bk_name]['step_ms']}ms/dispatch, "
               f"asr={result.success_rate:.2f})", flush=True)
 
-    from repro.nn.backend import get_backend
     ref = results["numpy"]
     for bk_name in backends:
         if bk_name == "numpy":
             continue
         got = results[bk_name]
-        if get_backend(bk_name).bitwise:
-            if not np.array_equal(got.x_adv, ref.x_adv):
+        # Iterated FFT trajectories compound per-step tolerance error;
+        # gate on aggregate agreement, not bitwise paths.
+        agree = float((got.success == ref.success).mean())
+        stage[bk_name]["success_agreement"] = round(agree, 3)
+        if agree < 0.9:
+            failures.append(
+                f"ead: {bk_name} success mask agrees with numpy on "
+                f"only {agree:.0%} of lanes (< 90%)")
+        both = got.success & ref.success
+        if both.any():
+            rel = abs(float(got.l1[both].mean())
+                      - float(ref.l1[both].mean()))
+            rel /= max(float(ref.l1[both].mean()), 1e-12)
+            stage[bk_name]["l1_rel_diff"] = round(rel, 4)
+            # Loose by design: hundreds of ISTA steps + per-lane binary
+            # search bifurcate on tolerance-level noise and legitimately
+            # land on different (equally valid) minima.  Wrong *math* is
+            # caught by the tight single-dispatch and AE-loss gates
+            # above; this bound only catches grossly divergent attack
+            # behaviour.
+            if rel > 0.25:
                 failures.append(
-                    f"ead: {bk_name} crafted examples not bitwise equal "
-                    "to numpy (bitwise backend)")
-        else:
-            # Iterated FFT trajectories compound per-step tolerance
-            # error; gate on aggregate agreement, not bitwise paths.
-            agree = float((got.success == ref.success).mean())
-            stage[bk_name]["success_agreement"] = round(agree, 3)
-            if agree < 0.9:
-                failures.append(
-                    f"ead: {bk_name} success mask agrees with numpy on "
-                    f"only {agree:.0%} of lanes (< 90%)")
-            both = got.success & ref.success
-            if both.any():
-                rel = abs(float(got.l1[both].mean())
-                          - float(ref.l1[both].mean()))
-                rel /= max(float(ref.l1[both].mean()), 1e-12)
-                stage[bk_name]["l1_rel_diff"] = round(rel, 4)
-                # Loose by design: hundreds of ISTA steps + per-lane
-                # binary search bifurcate on tolerance-level noise and
-                # legitimately land on different (equally valid) minima.
-                # Wrong *math* is caught by the tight single-dispatch
-                # and AE-loss gates above; this bound only catches
-                # grossly divergent attack behaviour.
-                if rel > 0.25:
-                    failures.append(
-                        f"ead: {bk_name} mean L1 diverged {rel:.1%} "
-                        "from numpy (> 25%)")
+                    f"ead: {bk_name} mean L1 diverged {rel:.1%} "
+                    "from numpy (> 25%)")
     return stage
 
 
@@ -284,10 +261,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_nn.json"))
     args = parser.parse_args(argv)
 
-    from repro.nn.backend import available_backends, kernel_stats
+    from repro.nn.backend import KERNELS, kernel_stats
 
-    backends = list(available_backends())
-    backends.sort(key=lambda n: (n != "numpy", n))  # numpy (reference) first
+    backends = sorted(KERNELS, key=lambda n: (n != "numpy", n))  # ref first
     repeats = args.repeats or (1 if args.quick else 3)
     shapes = QUICK_SHAPES if args.quick else PAPER_SHAPES
     ae_width = 32 if args.quick else 256
@@ -301,7 +277,7 @@ def main(argv=None) -> int:
                             initial_const=10.0))
 
     failures: list = []
-    print(f"[bench_nn] backends: {backends}, repeats={repeats}", flush=True)
+    print(f"[bench_nn] kernels: {backends}, repeats={repeats}", flush=True)
     conv = _bench_conv(backends, shapes, repeats, failures)
     ae = _bench_ae_epoch(backends, ae_width, ae_batch, ae_samples,
                          repeats, failures)
@@ -314,7 +290,7 @@ def main(argv=None) -> int:
     speedup = totals["numpy"] / max(alternatives[best], 1e-9)
 
     result = {
-        "benchmark": "kernel backends: conv microbench + AE epoch + EAD",
+        "benchmark": "conv kernels: conv microbench + AE epoch + EAD",
         "mode": "quick" if args.quick else "paper-shape",
         "repeats": repeats,
         "speedup_floor": SPEEDUP_FLOOR,
@@ -336,7 +312,7 @@ def main(argv=None) -> int:
 
     if not args.quick and speedup < SPEEDUP_FLOOR:
         failures.append(
-            f"conv: best alternative ({best}) speedup {speedup:.2f}x over "
+            f"conv: {best} speedup {speedup:.2f}x over "
             f"numpy is below the {SPEEDUP_FLOOR}x acceptance floor")
     for failure in failures:
         print(f"[bench_nn] FAIL: {failure}", file=sys.stderr)

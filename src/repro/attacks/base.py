@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.backend import flush_kernel_events, use_backend
+from repro.nn.backend import flush_kernel_events
 from repro.nn.layers import Module
 from repro.nn.training import predict_labels
 
@@ -170,11 +170,8 @@ class Attack:
 
     name = "attack"
 
-    def __init__(self, model: Module, *, backend: Optional[str] = None):
+    def __init__(self, model: Module):
         self.model = model
-        #: Kernel backend for every model dispatch inside :meth:`attack`
-        #: (``None``: the ambient selection; see repro.nn.backend).
-        self.backend = backend
 
     # ------------------------------------------------------------------
     # Batch-first public API
@@ -189,8 +186,7 @@ class Attack:
         x0, labels = self._prepare(x0, labels)
         if x0.shape[0] == 0:
             return AttackResult.empty(x0, labels, name=self.name)
-        with use_backend(self.backend):
-            result = self._run(x0, labels)
+        result = self._run(x0, labels)
         # Attribute this attack's conv dispatch burst in the telemetry log.
         flush_kernel_events()
         return result

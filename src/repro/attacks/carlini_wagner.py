@@ -51,9 +51,8 @@ class CarliniWagnerL2(BatchLoopMixin, Attack):
                  binary_search_steps: int = 9, max_iterations: int = 1000,
                  lr: float = 1e-2, initial_const: float = 1e-3,
                  const_upper: float = 1e10, abort_early: bool = True,
-                 targeted: bool = False, batch_mode: str = "batched",
-                 backend: str = None):
-        super().__init__(model, backend=backend)
+                 targeted: bool = False, batch_mode: str = "batched"):
+        super().__init__(model)
         if kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {kappa}")
         if max_iterations < 1 or binary_search_steps < 1:
@@ -83,7 +82,6 @@ class CarliniWagnerL2(BatchLoopMixin, Attack):
             max_iterations=profile.max_iterations,
             lr=profile.cw_lr,
             initial_const=profile.initial_const,
-            backend=getattr(profile, "nn_backend", None),
         )
         params.update(overrides)
         return cls(model, **params)

@@ -20,8 +20,8 @@ class DeepFool(Attack):
     name = "deepfool"
 
     def __init__(self, model: Module, *, max_iterations: int = 30,
-                 overshoot: float = 0.02, backend: str = None):
-        super().__init__(model, backend=backend)
+                 overshoot: float = 0.02):
+        super().__init__(model)
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
         self.max_iterations = int(max_iterations)

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.attacks.base import Attack, AttackResult, concat_results
 from repro.attacks.batch import BatchLoopMixin, MaskedLanes
-from repro.nn.backend import flush_kernel_events, use_backend
+from repro.nn.backend import flush_kernel_events
 from repro.nn.layers import Module
 from repro.obs import counter, histogram, span
 from repro.utils.logging import get_logger
@@ -76,9 +76,8 @@ class EAD(BatchLoopMixin, Attack):
                  lr: float = 1e-2, initial_const: float = 1e-3,
                  const_upper: float = 1e10, rule: str = "en",
                  method: str = "fista", targeted: bool = False,
-                 abort_early: bool = False, batch_mode: str = "batched",
-                 backend: str = None):
-        super().__init__(model, backend=backend)
+                 abort_early: bool = False, batch_mode: str = "batched"):
+        super().__init__(model)
         if beta < 0:
             raise ValueError(f"beta must be >= 0, got {beta}")
         if kappa < 0:
@@ -105,7 +104,7 @@ class EAD(BatchLoopMixin, Attack):
         """Build the attack with a profile's optimization budget.
 
         Maps ``max_iterations`` / ``binary_search_steps`` /
-        ``initial_const`` / ``ead_lr`` / ``nn_backend`` from an
+        ``initial_const`` / ``ead_lr`` from an
         :class:`~repro.experiments.config.ExperimentProfile`; keyword
         ``overrides`` (typically ``beta=``, ``kappa=``,
         ``batch_mode=``) win over profile fields.
@@ -115,7 +114,6 @@ class EAD(BatchLoopMixin, Attack):
             max_iterations=profile.max_iterations,
             lr=profile.ead_lr,
             initial_const=profile.initial_const,
-            backend=getattr(profile, "nn_backend", None),
         )
         params.update(overrides)
         return cls(model, **params)
@@ -142,8 +140,7 @@ class EAD(BatchLoopMixin, Attack):
             return {rule: AttackResult.empty(x0, labels,
                                              name=self._result_name(rule))
                     for rule in DECISION_RULES}
-        with use_backend(self.backend):
-            results = self._attack_both_prepared(x0, labels)
+        results = self._attack_both_prepared(x0, labels)
         flush_kernel_events()
         return results
 

@@ -20,9 +20,8 @@ class FGSM(Attack):
 
     name = "fgsm"
 
-    def __init__(self, model: Module, *, epsilon: float = 0.1,
-                 backend: str = None):
-        super().__init__(model, backend=backend)
+    def __init__(self, model: Module, *, epsilon: float = 0.1):
+        super().__init__(model)
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         self.epsilon = float(epsilon)
@@ -42,9 +41,8 @@ class IterativeFGSM(Attack):
     name = "ifgsm"
 
     def __init__(self, model: Module, *, epsilon: float = 0.1,
-                 step_size: float = 0.02, steps: int = 10,
-                 backend: str = None):
-        super().__init__(model, backend=backend)
+                 step_size: float = 0.02, steps: int = 10):
+        super().__init__(model)
         if epsilon < 0 or step_size <= 0 or steps < 1:
             raise ValueError("invalid I-FGSM parameters")
         self.epsilon = float(epsilon)

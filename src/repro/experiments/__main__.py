@@ -56,13 +56,11 @@ eviction.  At ``--jobs N`` each sweep cell is its own pool task, so an
 idle worker always takes the next cell and a straggling high-κ cell
 holds up only its own worker.
 
-``run``, ``scenarios run`` and ``serve`` take ``--nn-backend
-{numpy,fft,buffered}`` to pin the kernel backend for every
-conv/pool/elementwise dispatch (default: the profile's ``nn_backend`` —
-``numpy`` for smoke/quick, ``fft`` for paper; see
-``docs/nn_backends.md``).  ``numpy`` and ``buffered`` are bitwise
-interchangeable; ``fft`` is tolerance-equivalent, so non-default
-selections get their own attack-cache entries.
+The profile picks the conv kernel: every model of a ``--profile`` run
+trains and runs on its ``nn_backend`` — ``numpy`` for smoke/quick,
+``fft`` for paper (see ``docs/nn_backends.md``).  ``fft`` is
+tolerance-equivalent to ``numpy``, so its models and attacks get their
+own cache entries.
 
 The ``REPRO_PROFILE`` / ``REPRO_CACHE_DIR`` environment variables remain
 supported as fallbacks for scripts that predate these flags, but are
@@ -84,7 +82,6 @@ from repro.experiments.registry import (
     describe_experiments,
     run_experiment,
 )
-from repro.nn.backend import available_backends, set_default_backend
 from repro.obs import (
     configure_observability,
     load_events,
@@ -153,16 +150,6 @@ def _bytes_arg(value: str) -> int:
     return amount
 
 
-def _nn_backend_flag(p: argparse.ArgumentParser) -> None:
-    """--nn-backend flag shared by run / scenarios run / serve."""
-    p.add_argument("--nn-backend", choices=available_backends(),
-                   default=None,
-                   help="kernel backend for conv/pool/elementwise "
-                        "dispatches (see repro.nn.backend; default: the "
-                        "profile's nn_backend — numpy for smoke/quick, "
-                        "fft for paper)")
-
-
 def _store_flags(p: argparse.ArgumentParser) -> None:
     """Artifact-store flags shared by run/scenarios run."""
     p.add_argument("--store-shards", type=int, default=256, metavar="N",
@@ -219,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--telemetry", metavar="PATH",
                      help="JSONL event log (default: "
                           "<cache-dir>/telemetry.jsonl; 'off' disables)")
-    _nn_backend_flag(run)
     _store_flags(run)
 
     sub.add_parser("list", help="show experiment ids",
@@ -286,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="JSONL event log (default: "
                                "<cache-dir>/telemetry.jsonl; 'off' "
                                "disables)")
-    _nn_backend_flag(scen_run)
     _store_flags(scen_run)
 
     serve = sub.add_parser(
@@ -345,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--telemetry", metavar="PATH",
                        help="JSONL event log (default: "
                             "<cache-dir>/telemetry.jsonl; 'off' disables)")
-    _nn_backend_flag(serve)
 
     timings = sub.add_parser(
         "timings", help="per-stage wall-clock report from the telemetry log",
@@ -387,18 +371,6 @@ def _resolve_profile(flag_value: Optional[str]):
         raise KeyError(
             f"unknown profile {name!r}; available: {sorted(PROFILES)}")
     return PROFILES[name]
-
-
-def _resolve_nn_backend(flag_value: Optional[str], profile) -> str:
-    """Kernel backend selection: flag wins, else the profile's.
-
-    Also installs the selection as the process-wide default so model
-    *training* (the zoo) runs on the same backend as the attacks; pool
-    workers inherit it through the executor's payloads.
-    """
-    name = flag_value or getattr(profile, "nn_backend", "numpy")
-    set_default_backend(name)
-    return name
 
 
 def _telemetry_path(flag_value: Optional[str], cache_dir: str) -> Optional[str]:
@@ -444,14 +416,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cache = DiskCache(cache_dir, shards=args.store_shards,
                       max_bytes=args.store_max_bytes)
     configure_observability(_telemetry_path(args.telemetry, cache_dir))
-    nn_backend = _resolve_nn_backend(args.nn_backend, profile)
     for exp_id in exp_ids:
         report = run_experiment(exp_id, profile=profile, cache=cache,
                                 seed=args.seed, jobs=args.jobs,
                                 resume=args.resume,
                                 retry_policy=retry_policy,
-                                fault_plan=args.inject_faults,
-                                nn_backend=nn_backend)
+                                fault_plan=args.inject_faults)
         print(report)
         print()
     return 0
@@ -471,7 +441,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args.profile)
     cache_dir = _resolve_cache_dir(args.cache_dir)
     configure_observability(_telemetry_path(args.telemetry, cache_dir))
-    _resolve_nn_backend(args.nn_backend, profile)
 
     variants = [v.strip() for v in (args.models or args.variant).split(",")
                 if v.strip()]
@@ -609,12 +578,10 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
 
     cache = DiskCache(cache_dir, shards=args.store_shards,
                       max_bytes=args.store_max_bytes)
-    nn_backend = _resolve_nn_backend(args.nn_backend, profile)
     cells = registry.expand(args.seed, scenarios=selected)
     contexts = {
         dataset: ExperimentContext(dataset, profile=profile, cache=cache,
-                                   seed=args.seed,
-                                   nn_backend=nn_backend)
+                                   seed=args.seed)
         for dataset in sorted({c.scenario.dataset for c in cells})
     }
     log.info("running %d scenario cells (%s profile, %d dataset(s))",

@@ -60,10 +60,11 @@ class ExperimentProfile:
     classifier_epochs: int
     logit_scale_digits: float
     logit_scale_objects: float
-    # kernel backend for all nn dispatches under this profile (see
-    # repro.nn.backend).  The paper profile's 256-filter autoencoders are
-    # conv-bound at a filter width where the FFT path wins; the smaller
-    # profiles keep the bitwise-stable im2col default.
+    # conv kernel (repro.nn.backend.KERNELS) every model of this profile
+    # is built with: the zoo sets it on each Conv2D it trains or loads.
+    # The paper profile's 256-filter autoencoders are conv-bound at a
+    # filter width where fft wins; the smaller profiles keep the
+    # bitwise-stable numpy reference.
     nn_backend: str = "numpy"
 
     def sizes(self, dataset: str) -> Tuple[int, int, int]:

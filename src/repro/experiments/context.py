@@ -28,7 +28,7 @@ from repro.evaluation.protocol import select_attack_seeds
 from repro.experiments.config import PROFILES, ExperimentProfile, current_profile
 from repro.models.classifiers import ScaledLogits
 from repro.models.zoo import ClassifierSpec, ModelZoo, register_model_builder
-from repro.nn.backend import get_backend
+from repro.nn.backend import check_kernel
 from repro.nn.layers import Module
 from repro.obs import span
 from repro.utils.cache import DiskCache, default_cache, stable_hash
@@ -81,8 +81,7 @@ class ExperimentContext:
     def __init__(self, dataset: str, profile: Optional[ExperimentProfile] = None,
                  cache: Optional[DiskCache] = None, seed: int = 0, *,
                  jobs: int = 1, retry_policy=None, fault_plan=None,
-                 batch_mode: str = "batched",
-                 nn_backend: Optional[str] = None):
+                 batch_mode: str = "batched"):
         if dataset not in ("digits", "objects"):
             raise KeyError(f"dataset must be 'digits' or 'objects', got {dataset!r}")
         self.dataset = dataset
@@ -107,15 +106,7 @@ class ExperimentContext:
         #: sweep publishes bitwise-identical artifacts.
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
-        #: Kernel backend every attack dispatch pins (see
-        #: :mod:`repro.nn.backend`).  ``None`` defers to the profile's
-        #: ``nn_backend``.  Unlike the hints above this *can* change
-        #: numerics (the FFT path is tolerance-equivalent, not bitwise),
-        #: so any non-default selection becomes part of the attack cache
-        #: key; the ``"numpy"`` default keys exactly as before.
-        self.nn_backend = (nn_backend if nn_backend is not None
-                           else getattr(self.profile, "nn_backend", "numpy"))
-        get_backend(self.nn_backend)   # fail fast on unknown names
+        check_kernel(self.profile.nn_backend)   # fail fast on unknown names
         self._splits: Optional[DataSplits] = None
         self._zoo: Optional[ModelZoo] = None
         self._classifier: Optional[Module] = None
@@ -140,7 +131,8 @@ class ExperimentContext:
     @property
     def zoo(self) -> ModelZoo:
         if self._zoo is None:
-            self._zoo = ModelZoo(self.splits, cache=self.cache)
+            self._zoo = ModelZoo(self.splits, cache=self.cache,
+                                 conv_kernel=self.profile.nn_backend)
         return self._zoo
 
     def classifier_spec(self) -> ClassifierSpec:
@@ -203,12 +195,11 @@ class ExperimentContext:
             "seed": self.seed,
             "spec": spec,
         }
-        # Non-default backends change numerics (tolerance-equivalent,
-        # not bitwise), so they get their own cache entries.  The numpy
-        # default is deliberately left out of the key — artifacts cached
-        # before the backend API existed stay valid.
-        if self.nn_backend != "numpy":
-            key["nn_backend"] = self.nn_backend
+        # The fft kernel changes numerics (tolerance-equivalent, not
+        # bitwise), so its attacks get their own cache entries.  numpy is
+        # deliberately left out of the key, so existing stores stay valid.
+        if self.profile.nn_backend != "numpy":
+            key["nn_backend"] = self.profile.nn_backend
         return stable_hash(key)
 
     def _cached_attack(self, spec: Dict, name: str, run) -> AttackResult:
@@ -237,7 +228,7 @@ class ExperimentContext:
             x0, y0 = self.attack_seeds()
             attack = CarliniWagnerL2.from_profile(
                 self.classifier, self.profile, kappa=kappa,
-                batch_mode=self.batch_mode, backend=self.nn_backend)
+                batch_mode=self.batch_mode)
             return attack.attack(x0, y0)
 
         return self._cached_attack(self._cw_spec(kappa),
@@ -271,8 +262,7 @@ class ExperimentContext:
                 x0, y0 = self.attack_seeds()
                 attack = EAD.from_profile(self.classifier, self.profile,
                                           beta=beta, kappa=kappa,
-                                          batch_mode=self.batch_mode,
-                                          backend=self.nn_backend)
+                                          batch_mode=self.batch_mode)
                 both = attack.attack_both(x0, y0)
                 for rule in DECISION_RULES:
                     spec = self._ead_spec(beta, kappa, rule)
@@ -295,8 +285,7 @@ class ExperimentContext:
 
         def run():
             x0, y0 = self.attack_seeds()
-            return FGSM(self.classifier, epsilon=epsilon,
-                        backend=self.nn_backend).attack(x0, y0)
+            return FGSM(self.classifier, epsilon=epsilon).attack(x0, y0)
 
         return self._cached_attack(spec, f"fgsm(eps={epsilon:g})", run)
 
@@ -306,8 +295,8 @@ class ExperimentContext:
 
         def run():
             x0, y0 = self.attack_seeds()
-            return IterativeFGSM(self.classifier, epsilon=epsilon, steps=steps,
-                                 backend=self.nn_backend).attack(x0, y0)
+            return IterativeFGSM(self.classifier, epsilon=epsilon,
+                                 steps=steps).attack(x0, y0)
 
         return self._cached_attack(spec, f"ifgsm(eps={epsilon:g})", run)
 
@@ -317,8 +306,8 @@ class ExperimentContext:
 
         def run():
             x0, y0 = self.attack_seeds()
-            return DeepFool(self.classifier, max_iterations=max_iterations,
-                            backend=self.nn_backend).attack(x0, y0)
+            return DeepFool(self.classifier,
+                            max_iterations=max_iterations).attack(x0, y0)
 
         return self._cached_attack(spec, "deepfool", run)
 

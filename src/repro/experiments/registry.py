@@ -45,14 +45,13 @@ _SPEC: Dict[str, Tuple[Callable, Tuple[str, ...], str]] = {
 
 EXPERIMENT_IDS = tuple(_SPEC)
 
-_contexts: Dict[Tuple[str, str, int], ExperimentContext] = {}
+_contexts: Dict[Tuple[str, ExperimentProfile, int], ExperimentContext] = {}
 
 
 def get_context(dataset: str, profile: Optional[ExperimentProfile] = None,
                 cache: Optional[DiskCache] = None,
                 seed: int = 0, *, jobs: int = 1,
-                retry_policy=None, fault_plan=None,
-                nn_backend: Optional[str] = None) -> ExperimentContext:
+                retry_policy=None, fault_plan=None) -> ExperimentContext:
     """Memoized ExperimentContext for (dataset, profile, seed).
 
     ``jobs``, ``retry_policy`` and ``fault_plan`` are execution hints,
@@ -60,27 +59,20 @@ def get_context(dataset: str, profile: Optional[ExperimentProfile] = None,
     existing context's fan-out/fault-tolerance behavior without
     invalidating its cached data/models (results are identical for any
     setting — see :mod:`repro.runtime`).
-
-    ``nn_backend`` is *not* a pure hint — the FFT path is
-    tolerance-equivalent rather than bitwise — so the context keys
-    attack artifacts by it (see
-    :attr:`ExperimentContext.nn_backend`).  ``None`` keeps the
-    memoized context's current selection (initially the profile's).
     """
     profile = profile or current_profile()
-    key = (dataset, profile.name, seed)
+    # The whole profile, not just its name: two profiles that share a
+    # name but differ in a field (say nn_backend) need their own context.
+    key = (dataset, profile, seed)
     if key not in _contexts:
         _contexts[key] = ExperimentContext(dataset, profile=profile,
                                            cache=cache, seed=seed, jobs=jobs,
                                            retry_policy=retry_policy,
-                                           fault_plan=fault_plan,
-                                           nn_backend=nn_backend)
+                                           fault_plan=fault_plan)
     else:
         _contexts[key].jobs = int(jobs)
         _contexts[key].retry_policy = retry_policy
         _contexts[key].fault_plan = fault_plan
-        if nn_backend is not None:
-            _contexts[key].nn_backend = nn_backend
     return _contexts[key]
 
 
@@ -92,8 +84,7 @@ def describe_experiments() -> Dict[str, str]:
 def run_experiment(exp_id: str, profile: Optional[ExperimentProfile] = None,
                    cache: Optional[DiskCache] = None,
                    seed: int = 0, *, jobs: int = 1, resume: bool = False,
-                   retry_policy=None, fault_plan=None,
-                   nn_backend: Optional[str] = None) -> ExperimentReport:
+                   retry_policy=None, fault_plan=None) -> ExperimentReport:
     """Run one table/figure reproduction and return its report.
 
     ``jobs`` (keyword-only) sets the parallel fan-out: with ``jobs > 1``
@@ -107,9 +98,7 @@ def run_experiment(exp_id: str, profile: Optional[ExperimentProfile] = None,
     ``retry_policy`` overrides the sweep's fault-tolerance defaults and
     ``fault_plan`` injects deterministic chaos (``--inject-faults``);
     setting either precomputes the grid through the supervised sweep
-    even at ``jobs=1``.  ``nn_backend`` pins the kernel backend for
-    every attack dispatch (``--nn-backend``; default: the profile's);
-    see :mod:`repro.runtime` and :mod:`repro.nn.backend`.
+    even at ``jobs=1``; see :mod:`repro.runtime`.
     """
     if exp_id not in _SPEC:
         raise KeyError(
@@ -117,7 +106,7 @@ def run_experiment(exp_id: str, profile: Optional[ExperimentProfile] = None,
     fn, datasets, _desc = _SPEC[exp_id]
     contexts = [get_context(ds, profile=profile, cache=cache, seed=seed,
                             jobs=jobs, retry_policy=retry_policy,
-                            fault_plan=fault_plan, nn_backend=nn_backend)
+                            fault_plan=fault_plan)
                 for ds in datasets]
     with span(f"experiment/{exp_id}", jobs=jobs):
         # The sweep is the only place a retry policy or fault plan takes

@@ -9,6 +9,11 @@ weights automatically.
 MagNet trains its autoencoders as *denoisers*: Gaussian noise (volume 0.1
 in the original) is added to the inputs while the reconstruction target
 stays clean.  ``AutoencoderSpec.train_noise`` reproduces that.
+
+A zoo builds every model on one conv kernel (``conv_kernel``, the
+profile's ``nn_backend``): each ``Conv2D`` of a trained or loaded model
+carries it, so training, attacks and every worker process a model is
+pickled or forked into run the same kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 from repro.datasets.base import DataSplits
 from repro.models.autoencoders import build_autoencoder
 from repro.models.classifiers import build_classifier
-from repro.nn.layers import Module
+from repro.nn.backend import check_kernel
+from repro.nn.layers import Module, set_conv_kernel
 from repro.nn.training import Trainer, accuracy
 from repro.obs import span
 from repro.utils.cache import DiskCache, default_cache, stable_hash
@@ -75,9 +81,12 @@ def data_fingerprint(splits: DataSplits) -> str:
     })
 
 
-def train_classifier(splits: DataSplits, spec: ClassifierSpec) -> Tuple[Module, Dict]:
+def train_classifier(splits: DataSplits, spec: ClassifierSpec,
+                     conv_kernel: str = "numpy") -> Tuple[Module, Dict]:
     """Train a classifier from scratch; returns (model, info dict)."""
-    model = build_classifier(spec.dataset, seed=spec.seed, variant=spec.variant)
+    model = set_conv_kernel(
+        build_classifier(spec.dataset, seed=spec.seed, variant=spec.variant),
+        conv_kernel)
     trainer = Trainer(model, loss="cross_entropy", lr=spec.lr, seed=spec.seed + 1)
     history = trainer.fit(
         splits.train.x, splits.train.y,
@@ -93,9 +102,13 @@ def train_classifier(splits: DataSplits, spec: ClassifierSpec) -> Tuple[Module, 
     return model, info
 
 
-def train_autoencoder(splits: DataSplits, spec: AutoencoderSpec) -> Tuple[Module, Dict]:
+def train_autoencoder(splits: DataSplits, spec: AutoencoderSpec,
+                      conv_kernel: str = "numpy") -> Tuple[Module, Dict]:
     """Train a MagNet autoencoder (denoising, per the original recipe)."""
-    model = build_autoencoder(spec.dataset, spec.kind, width=spec.width, seed=spec.seed)
+    model = set_conv_kernel(
+        build_autoencoder(spec.dataset, spec.kind, width=spec.width,
+                          seed=spec.seed),
+        conv_kernel)
     trainer = Trainer(model, loss=spec.loss, lr=spec.lr, seed=spec.seed + 1)
     x_clean = splits.train.x
     if spec.train_noise > 0:
@@ -116,16 +129,28 @@ def train_autoencoder(splits: DataSplits, spec: AutoencoderSpec) -> Tuple[Module
 
 
 class ModelZoo:
-    """Disk-cached access to trained models for one dataset's splits."""
+    """Disk-cached access to trained models for one dataset's splits.
 
-    def __init__(self, splits: DataSplits, cache: Optional[DiskCache] = None):
+    ``conv_kernel`` names the conv kernel every model this zoo hands out
+    trains and runs on (:data:`repro.nn.backend.KERNELS`).
+    """
+
+    def __init__(self, splits: DataSplits, cache: Optional[DiskCache] = None,
+                 conv_kernel: str = "numpy"):
         self.splits = splits
         self.cache = cache if cache is not None else default_cache()
+        self.conv_kernel = check_kernel(conv_kernel)
         self._fingerprint = data_fingerprint(splits)
         self._memory: Dict[str, Module] = {}
 
     def _key(self, spec) -> str:
-        return stable_hash({"data": self._fingerprint, "spec": spec.config()})
+        key = {"data": self._fingerprint, "spec": spec.config()}
+        # Weights trained on the tolerance-equivalent fft kernel differ
+        # from numpy-trained ones, so they get their own entries; numpy
+        # is left out of the key, so existing stores stay valid.
+        if self.conv_kernel != "numpy":
+            key["conv_kernel"] = self.conv_kernel
+        return stable_hash(key)
 
     def classifier(self, spec: Optional[ClassifierSpec] = None) -> Module:
         """Return a trained classifier, from memory, disk, or fresh training."""
@@ -135,7 +160,8 @@ class ModelZoo:
             return self._memory[key]
         model = build_classifier(spec.dataset, seed=spec.seed, variant=spec.variant)
         model = self._restore_or_train(
-            key, model, lambda: train_classifier(self.splits, spec),
+            key, model,
+            lambda: train_classifier(self.splits, spec, self.conv_kernel),
             stage="train/classifier", batch=spec.batch_size)
         self._memory[key] = model
         return model
@@ -149,7 +175,8 @@ class ModelZoo:
         model = build_autoencoder(spec.dataset, spec.kind, width=spec.width,
                                   seed=spec.seed)
         model = self._restore_or_train(
-            key, model, lambda: train_autoencoder(self.splits, spec),
+            key, model,
+            lambda: train_autoencoder(self.splits, spec, self.conv_kernel),
             stage="train/autoencoder", batch=spec.batch_size)
         self._memory[key] = model
         return model
@@ -161,7 +188,7 @@ class ModelZoo:
             try:
                 state = self.cache.load("models", key)
                 fresh_model.load_state_dict(state)
-                fresh_model.eval()
+                set_conv_kernel(fresh_model, self.conv_kernel).eval()
                 evt["cache"] = "hit"
                 return fresh_model
             except KeyError:

@@ -29,8 +29,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.backend import get_backend
-
 DEFAULT_DTYPE = np.float32
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
@@ -418,12 +416,8 @@ def minimum(a, b) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     # Single-pass forward; the backward mask is recomputed lazily so
-    # forward-only passes never pay for it.  Dispatches through the
-    # active kernel backend's elementwise contract (repro.nn.backend);
-    # every registered backend keeps these bitwise-identical.
-    be = get_backend()
-    return _make(be.relu(a.data),
-                 [(a, lambda g: g * be.relu_grad_mask(a.data))])
+    # forward-only passes never pay for it.
+    return _make(np.maximum(a.data, 0), [(a, lambda g: g * (a.data > 0))])
 
 
 def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
@@ -451,13 +445,13 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    data = get_backend().sigmoid(a.data)
+    data = _stable_sigmoid(a.data)
     return _make(data, [(a, lambda g: g * data * (1.0 - data))])
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    data = get_backend().tanh(a.data)
+    data = np.tanh(a.data)
     return _make(data, [(a, lambda g: g * (1.0 - data ** 2))])
 
 

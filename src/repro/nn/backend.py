@@ -1,17 +1,12 @@
-"""Pluggable kernel backends for the ``repro.nn`` hot loops.
+"""The conv kernels behind :func:`repro.nn.functional.conv2d`.
 
 EAD's L1 attack and MagNet's autoencoder training both bottom out in 2-D
-convolutions, so the conv/pool/elementwise primitives live behind an
-explicit backend interface: :class:`KernelBackend` defines the contract,
-a registry maps names to singleton instances, and
-:mod:`repro.nn.functional` dispatches through the active backend while
-keeping its public signatures unchanged.
+convolutions.  Two kernels implement them, each a stateless singleton in
+:data:`KERNELS`:
 
-Registered backends
--------------------
 ``"numpy"``
     The reference im2col path (the default).  Bitwise-stable: its outputs
-    define the ground truth every other backend is checked against.
+    define the ground truth the other kernel is checked against.
 ``"fft"``
     Frequency-domain convolution via ``scipy.fft`` (falls back to
     ``numpy.fft`` with a float64 round-trip when scipy is absent).  Wins
@@ -20,35 +15,27 @@ Registered backends
     batched complex matmul over O(H·W) frequencies instead of an
     O(H·W·k²) tap gather.  Tolerance-matched, not bitwise (see
     :attr:`FFTBackend.rtol`/:attr:`FFTBackend.atol`).
-``"buffered"``
-    The numpy path with per-thread scratch reuse: padded inputs, im2col
-    column blocks and col2im accumulators are recycled across dispatches
-    instead of reallocated per optimizer step.  Bitwise-identical to
-    ``"numpy"`` — only allocation behaviour differs.
 
-Selection
----------
-The active backend resolves in order: an explicit ``backend=`` argument
-at a call site, the ambient :func:`use_backend` context (a
-``contextvars.ContextVar``, so concurrent serving threads can pin
-different backends), then the process-wide default set by
-:func:`set_default_backend` (what ``--nn-backend`` and the experiment
-profiles configure; new threads that never entered :func:`use_backend`
-inherit it, since context vars do not cross thread creation).
+The kernel is a property of the model: every
+:class:`~repro.nn.layers.Conv2D` carries the name of its kernel (set for
+a whole model by :func:`~repro.nn.layers.set_conv_kernel`, which the
+model zoo applies from the profile's ``nn_backend``), and ``conv2d``
+reads only that.  A pickled or forked model therefore runs the same
+kernel in every process.  Pooling and elementwise ops have one
+implementation and live in :mod:`repro.nn.functional` /
+:mod:`repro.nn.autograd`.
 
 Every conv dispatch is metered through :mod:`repro.obs`
-(``nn/conv_dispatches`` counters and per-backend ``nn/kernel_seconds``
+(``nn/conv_dispatches`` counters and per-kernel ``nn/kernel_seconds``
 histograms); :func:`flush_kernel_events` folds the deltas into the
 telemetry JSONL so ``repro-experiments timings`` can attribute conv time.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import threading
-import time
-from typing import Any, Dict, Iterator, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -59,19 +46,13 @@ except ImportError:  # pragma: no cover - scipy is part of the toolchain
     _scipy_fft = None
 
 __all__ = [
-    "BufferedBackend",
     "FFTBackend",
-    "KernelBackend",
+    "KERNELS",
     "NumpyBackend",
-    "available_backends",
+    "check_kernel",
     "flush_kernel_events",
-    "get_backend",
-    "get_default_backend_name",
     "kernel_stats",
     "record_dispatch",
-    "register_backend",
-    "set_default_backend",
-    "use_backend",
 ]
 
 
@@ -83,38 +64,38 @@ __all__ = [
 # handles bind lazily at the first dispatch — long after import time —
 # instead of at module load.
 
-_METRICS_BY_BACKEND: Dict[str, Tuple[Any, Any, Any]] = {}
+_METRICS_BY_KERNEL: Dict[str, Tuple[Any, Any, Any]] = {}
 _LAST_FLUSH: Dict[str, Tuple[int, float]] = {}
 _METRICS_LOCK = threading.Lock()
 
 
-def _backend_metrics(name: str) -> Tuple[Any, Any, Any]:
-    cached = _METRICS_BY_BACKEND.get(name)
+def _kernel_metrics(name: str) -> Tuple[Any, Any, Any]:
+    cached = _METRICS_BY_KERNEL.get(name)
     if cached is None:
         from repro.obs.metrics import counter, histogram
         with _METRICS_LOCK:
-            cached = _METRICS_BY_BACKEND.get(name)
+            cached = _METRICS_BY_KERNEL.get(name)
             if cached is None:
                 cached = (counter("nn/conv_dispatches"),
                           counter(f"nn/conv_dispatches/{name}"),
                           histogram(f"nn/kernel_seconds/{name}"))
-                _METRICS_BY_BACKEND[name] = cached
+                _METRICS_BY_KERNEL[name] = cached
     return cached
 
 
-def record_dispatch(backend_name: str, seconds: float) -> None:
-    """Meter one kernel dispatch (conv forward or backward) for a backend."""
-    total, dispatches, seconds_hist = _backend_metrics(backend_name)
+def record_dispatch(kernel_name: str, seconds: float) -> None:
+    """Meter one conv dispatch (forward or backward) on a kernel."""
+    total, dispatches, seconds_hist = _kernel_metrics(kernel_name)
     total.inc()
     dispatches.inc()
     seconds_hist.observe(seconds)
 
 
 def kernel_stats() -> Dict[str, Dict[str, float]]:
-    """Cumulative ``{backend: {dispatches, seconds}}`` for this process."""
+    """Cumulative ``{kernel: {dispatches, seconds}}`` for this process."""
     stats: Dict[str, Dict[str, float]] = {}
     for name, (_, dispatches, seconds_hist) in sorted(
-            _METRICS_BY_BACKEND.items()):
+            _METRICS_BY_KERNEL.items()):
         snap = seconds_hist.snapshot()
         stats[name] = {"dispatches": dispatches.value,
                        "seconds": snap["sum"]}
@@ -122,7 +103,7 @@ def kernel_stats() -> Dict[str, Dict[str, float]]:
 
 
 def flush_kernel_events() -> None:
-    """Emit per-backend ``nn/kernels/<name>`` telemetry for new dispatches.
+    """Emit per-kernel ``nn/kernels/<name>`` telemetry for new dispatches.
 
     Called at the natural kernel-burst boundaries (end of a training fit,
     end of an attack) so the JSONL event log — and therefore the
@@ -138,51 +119,52 @@ def flush_kernel_events() -> None:
             continue
         _LAST_FLUSH[name] = (count, seconds)
         event(f"nn/kernels/{name}", duration_s=seconds - last_seconds,
-              backend=name, dispatches=count - last_count)
+              kernel=name, dispatches=count - last_count)
 
 
 # ----------------------------------------------------------------------
-# The primitive contract
+# The kernels
 # ----------------------------------------------------------------------
+# Both kernels implement the conv trio behind ``conv2d``:
+#
+# * ``conv2d_forward(x, weight, bias, stride, padding, dilation,
+#   needs_grad) -> (out, ctx)`` — ``x`` is NCHW *unpadded*; ``out`` is the
+#   finished NCHW output (bias included).  ``ctx`` is an opaque handle
+#   threaded to the backward methods; when ``needs_grad`` is false the
+#   backward methods will never be called on it.
+# * ``conv2d_backward_input(ctx, g) -> gx`` — gradient w.r.t. the
+#   original (unpadded) input.
+# * ``conv2d_backward_weight(ctx, g) -> gw`` — gradient w.r.t. the OIHW
+#   weight.
+#
+# Returned arrays match the input dtype and are C-contiguous.  ``bitwise``
+# declares the equivalence contract against the numpy reference: exact,
+# or within the declared ``rtol``/``atol`` (checked by the gradcheck
+# equivalence matrix and enforced by ``benchmarks/bench_nn.py``).
 
-class KernelBackend:
-    """Conv/pool/elementwise primitives behind ``repro.nn.functional``.
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    if not padding:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding),
+                      (padding, padding)))
 
-    Subclasses override the conv trio (and optionally the buffer hooks);
-    the base class carries the reference numpy implementations so a new
-    backend only has to reimplement what it accelerates.  The contract
-    every backend must honour:
 
-    * ``conv2d_forward(x, weight, bias, stride, padding, dilation,
-      needs_grad) -> (out, ctx)`` — ``x`` is NCHW *unpadded*; ``out`` is
-      the finished NCHW output (bias included).  ``ctx`` is an opaque
-      handle threaded to the backward methods; when ``needs_grad`` is
-      false the backward methods will never be called on it.
-    * ``conv2d_backward_input(ctx, g) -> gx`` — gradient w.r.t. the
-      original (unpadded) input.
-    * ``conv2d_backward_weight(ctx, g) -> gw`` — gradient w.r.t. the
-      OIHW weight.
-    * Pool/elementwise primitives as below.
-    * Arrays returned to callers are freshly owned (never views of
-      internal scratch), match the input dtype, and are C-contiguous.
+def _to_nchw(nhwc: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    return np.ascontiguousarray(nhwc.transpose(0, 3, 1, 2), dtype=dtype)
 
-    ``bitwise`` declares the equivalence contract: a bitwise backend must
-    reproduce the ``"numpy"`` reference exactly; a tolerance backend must
-    stay within its declared ``rtol``/``atol`` (checked by the gradcheck
-    equivalence matrix and enforced by ``benchmarks/bench_nn.py``).
-    """
 
-    name = "abstract"
+class NumpyBackend:
+    """The reference im2col conv — the bitwise ground truth."""
+
+    name = "numpy"
     #: True when outputs are bit-for-bit identical to the numpy reference.
     bitwise = True
     #: Equivalence bounds vs the numpy reference (0.0 means exact).
     rtol = 0.0
     atol = 0.0
 
-    # -------------------------------------------------- conv primitives
     def im2col(self, x: np.ndarray, kh: int, kw: int, stride: int,
-               dilation: int = 1, out: Optional[np.ndarray] = None
-               ) -> np.ndarray:
+               dilation: int = 1) -> np.ndarray:
         """Extract sliding windows: (N, C, H, W) -> (N, Ho, Wo, C, kh, kw).
 
         Filled tap-by-tap (kh*kw strided slice copies) directly into the
@@ -202,8 +184,7 @@ class KernelBackend:
             )
         ho = (h - eff_kh) // stride + 1
         wo = (w - eff_kw) // stride + 1
-        if out is None:
-            out = np.empty((n, ho, wo, c, kh, kw), dtype=x.dtype)
+        out = np.empty((n, ho, wo, c, kh, kw), dtype=x.dtype)
         for i in range(kh):
             row = i * dilation
             for j in range(kw):
@@ -223,7 +204,7 @@ class KernelBackend:
         """
         n, c, h, w = x_shape
         ho, wo = cols.shape[1], cols.shape[2]
-        out = self._col2im_accumulator((n, h, w, c), cols.dtype)
+        out = np.zeros((n, h, w, c), dtype=cols.dtype)
         for i in range(kh):
             row = i * dilation
             h_stop = row + stride * ho
@@ -233,28 +214,23 @@ class KernelBackend:
                 out[:, row:h_stop:stride, col:w_stop:stride, :] += (
                     cols[:, :, :, :, i, j]
                 )
-        return self._to_nchw(out, (n, c, h, w), cols.dtype)
+        return _to_nchw(out, cols.dtype)
 
     def conv2d_forward(self, x: np.ndarray, weight: np.ndarray,
                        bias: Optional[np.ndarray], stride: int, padding: int,
                        dilation: int, needs_grad: bool
                        ) -> Tuple[np.ndarray, Any]:
         co, ci, kh, kw = weight.shape
-        xp = self._pad(x, padding)
-        n, _, hp, wp = xp.shape
-        eff_kh = (kh - 1) * dilation + 1
-        eff_kw = (kw - 1) * dilation + 1
-        ho = (hp - eff_kh) // stride + 1
-        wo = (wp - eff_kw) // stride + 1
-        cols_out = self._cols_buffer((n, ho, wo, ci, kh, kw), x.dtype,
-                                     needs_grad)
-        cols = self.im2col(xp, kh, kw, stride, dilation, out=cols_out)
+        xp = _pad(x, padding)
+        n = xp.shape[0]
+        cols = self.im2col(xp, kh, kw, stride, dilation)
+        ho, wo = cols.shape[1], cols.shape[2]
         cols_flat = cols.reshape(n, ho, wo, ci * kh * kw)
         w_flat = weight.reshape(co, ci * kh * kw)
-        out = self._nhwc_product(cols_flat, w_flat)     # (N, Ho, Wo, C_out)
+        out = cols_flat @ w_flat.T                      # (N, Ho, Wo, C_out)
         if bias is not None:
             out += bias
-        out = self._to_nchw(out, (n, co, ho, wo), x.dtype)
+        out = _to_nchw(out, x.dtype)
         ctx = {
             "cols_flat": cols_flat if needs_grad else None,
             "w_flat": w_flat,
@@ -267,7 +243,7 @@ class KernelBackend:
     def conv2d_backward_input(self, ctx: Any, g: np.ndarray) -> np.ndarray:
         n, co, ci, kh, kw, ho, wo = ctx["shape"]
         g_nhwc = g.transpose(0, 2, 3, 1)                # (N, Ho, Wo, C_out)
-        gc = self._cols_product(g_nhwc, ctx["w_flat"])  # (N, Ho, Wo, C*kh*kw)
+        gc = g_nhwc @ ctx["w_flat"]                     # (N, Ho, Wo, C*kh*kw)
         gc = gc.reshape(n, ho, wo, ci, kh, kw)
         gx = self.col2im(gc, ctx["padded_shape"], kh, kw, ctx["stride"],
                          ctx["dilation"])
@@ -283,106 +259,8 @@ class KernelBackend:
         gw = g_flat.T @ cols_2d                           # (C_out, C*kh*kw)
         return gw.reshape(co, ci, kh, kw)
 
-    # -------------------------------------------------- pool primitives
-    def avg_pool2d_forward(self, x: np.ndarray, k: int) -> np.ndarray:
-        n, c, h, w = x.shape
-        blocks = x.reshape(n, c, h // k, k, w // k, k)
-        return blocks.mean(axis=(3, 5))
 
-    def avg_pool2d_backward(self, g: np.ndarray, k: int,
-                            dtype: np.dtype) -> np.ndarray:
-        g_scaled = (g / (k * k)).astype(dtype)
-        return np.repeat(np.repeat(g_scaled, k, axis=2), k, axis=3)
-
-    def max_pool2d_forward(self, x: np.ndarray, k: int
-                           ) -> Tuple[np.ndarray, Any]:
-        n, c, h, w = x.shape
-        blocks = x.reshape(n, c, h // k, k, w // k, k)
-        # Pairwise maximum over the k*k taps (strided views, no copies) —
-        # much faster than a strided-axis ``.max()`` reduction or the
-        # transpose+argmax route, and bitwise-identical to both.
-        taps = [blocks[:, :, :, i, :, j] for i in range(k) for j in range(k)]
-        if len(taps) == 1:
-            out = taps[0].copy()
-        else:
-            out = np.maximum(taps[0], taps[1])
-            for tap in taps[2:]:
-                np.maximum(out, tap, out=out)
-        ctx = {"blocks": blocks, "out": out, "shape": x.shape, "k": k}
-        return out, ctx
-
-    def max_pool2d_backward(self, ctx: Any, g: np.ndarray) -> np.ndarray:
-        # Route the gradient to the first maximum tap in (i, j) row-major
-        # order — the same winner the flat argmax picked — by comparing
-        # taps sequentially against the pooled maximum.  No argmax, no
-        # transposed copies.
-        n, c, h, w = ctx["shape"]
-        k, blocks, out = ctx["k"], ctx["blocks"], ctx["out"]
-        ho, wo = h // k, w // k
-        gx = np.zeros((n, c, h, w), dtype=g.dtype)
-        gblocks = gx.reshape(n, c, ho, k, wo, k)
-        taken = np.zeros(out.shape, dtype=bool)
-        for i in range(k):
-            for j in range(k):
-                win = (blocks[:, :, :, i, :, j] == out) & ~taken
-                np.copyto(gblocks[:, :, :, i, :, j], g, where=win)
-                taken |= win
-        return gx
-
-    # ------------------------------------------- elementwise primitives
-    def relu(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0)
-
-    def relu_grad_mask(self, x: np.ndarray) -> np.ndarray:
-        return x > 0
-
-    def sigmoid(self, x: np.ndarray) -> np.ndarray:
-        """Logistic function without overflow in either tail."""
-        z = np.exp(-np.abs(x))
-        return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(x.dtype)
-
-    def tanh(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-    # ------------------------------------------------------ buffer hooks
-    # Subclasses (the buffered backend) override these to recycle scratch;
-    # the defaults allocate fresh arrays, matching the historical code
-    # path exactly.
-    def _pad(self, x: np.ndarray, padding: int) -> np.ndarray:
-        if not padding:
-            return x
-        return np.pad(x, ((0, 0), (0, 0), (padding, padding),
-                          (padding, padding)))
-
-    def _cols_buffer(self, shape: Tuple[int, ...], dtype: np.dtype,
-                     needs_grad: bool) -> Optional[np.ndarray]:
-        return None
-
-    def _nhwc_product(self, cols_flat: np.ndarray,
-                      w_flat: np.ndarray) -> np.ndarray:
-        return cols_flat @ w_flat.T
-
-    def _cols_product(self, g_nhwc: np.ndarray,
-                      w_flat: np.ndarray) -> np.ndarray:
-        return g_nhwc @ w_flat
-
-    def _col2im_accumulator(self, shape: Tuple[int, ...],
-                            dtype: np.dtype) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
-
-    def _to_nchw(self, nhwc: np.ndarray, shape: Tuple[int, ...],
-                 dtype: np.dtype) -> np.ndarray:
-        return np.ascontiguousarray(nhwc.transpose(0, 3, 1, 2), dtype=dtype)
-
-
-class NumpyBackend(KernelBackend):
-    """The reference im2col path — the bitwise ground truth."""
-
-    name = "numpy"
-    bitwise = True
-
-
-class FFTBackend(KernelBackend):
+class FFTBackend:
     """Frequency-domain convolution for wide-channel workloads.
 
     All three conv passes become ``rfft2`` → one batched complex matmul
@@ -402,7 +280,7 @@ class FFTBackend(KernelBackend):
 
     Work per pass is O(N·C·HW·log HW) for the transforms plus
     O(HW·N·Ci·Co) for the contraction, versus im2col's
-    O(HW·N·Ci·Co·k²) — the k² factor is the win, so this backend pays
+    O(HW·N·Ci·Co·k²) — the k² factor is the win, so this kernel pays
     off when channel products are large (the paper profile's 256-filter
     autoencoders) and loses on the thin smoke/quick models.  Stride > 1
     computes the stride-1 result and subsamples (correct, not
@@ -522,7 +400,7 @@ class FFTBackend(KernelBackend):
                        dilation: int, needs_grad: bool
                        ) -> Tuple[np.ndarray, Any]:
         co, ci, kh, kw = weight.shape
-        xp = self._pad(x, padding)
+        xp = _pad(x, padding)
         n, _, hp, wp = xp.shape
         eff_kh = (kh - 1) * dilation + 1
         eff_kw = (kw - 1) * dilation + 1
@@ -600,192 +478,15 @@ class FFTBackend(KernelBackend):
         return np.ascontiguousarray(gw.reshape(co, ci, kh, kw))
 
 
-class BufferedBackend(KernelBackend):
-    """The numpy path with per-thread scratch-array recycling.
-
-    Attack loops dispatch the same conv shapes hundreds of times, so the
-    allocator traffic for padded inputs, im2col column blocks, matmul
-    outputs and col2im accumulators is pure overhead.  This backend keeps
-    a small per-thread pool keyed by ``(role, shape, dtype)`` and reuses
-    buffers across dispatches.
-
-    Only arrays that provably never escape a dispatch are recycled: the
-    padded input copy, the NHWC matmul outputs, the col2im accumulator,
-    and — only when the forward runs with ``needs_grad=False`` — the
-    im2col column block (under grad the columns are captured by the
-    weight-gradient closure and must survive).  Everything handed back to
-    callers is freshly copied, so results are bitwise-identical to
-    ``"numpy"``.
-    """
-
-    name = "buffered"
-    bitwise = True
-
-    #: Pool entries per thread before the pool is dropped wholesale — a
-    #: safety valve for pathological shape churn, far above the handful
-    #: of distinct shapes a training/attack loop touches.
-    MAX_BUFFERS = 64
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def _scratch(self, role: str, shape: Tuple[int, ...],
-                 dtype: np.dtype) -> np.ndarray:
-        pool = getattr(self._local, "pool", None)
-        if pool is None:
-            pool = self._local.pool = {}
-        key = (role, shape, np.dtype(dtype).str)
-        buf = pool.get(key)
-        if buf is None:
-            if len(pool) >= self.MAX_BUFFERS:
-                pool.clear()
-            buf = np.empty(shape, dtype=dtype)
-            pool[key] = buf
-        return buf
-
-    def pool_size(self) -> int:
-        """Live scratch entries for the calling thread (test hook)."""
-        return len(getattr(self._local, "pool", None) or {})
-
-    def clear(self) -> None:
-        """Drop the calling thread's scratch pool."""
-        self._local.pool = {}
-
-    def _pad(self, x: np.ndarray, padding: int) -> np.ndarray:
-        if not padding:
-            return x
-        n, c, h, w = x.shape
-        p = padding
-        buf = self._scratch("pad", (n, c, h + 2 * p, w + 2 * p), x.dtype)
-        buf.fill(0)
-        buf[:, :, p:-p, p:-p] = x
-        return buf
-
-    def _cols_buffer(self, shape: Tuple[int, ...], dtype: np.dtype,
-                     needs_grad: bool) -> Optional[np.ndarray]:
-        # Under grad the columns outlive the dispatch (weight-gradient
-        # closure), so they must be freshly allocated.
-        if needs_grad:
-            return None
-        return self._scratch("cols", shape, dtype)
-
-    def _nhwc_product(self, cols_flat: np.ndarray,
-                      w_flat: np.ndarray) -> np.ndarray:
-        shape = cols_flat.shape[:3] + (w_flat.shape[0],)
-        dtype = np.result_type(cols_flat.dtype, w_flat.dtype)
-        out = self._scratch("nhwc_out", shape, dtype)
-        return np.matmul(cols_flat, w_flat.T, out=out)
-
-    def _cols_product(self, g_nhwc: np.ndarray,
-                      w_flat: np.ndarray) -> np.ndarray:
-        shape = g_nhwc.shape[:3] + (w_flat.shape[1],)
-        dtype = np.result_type(g_nhwc.dtype, w_flat.dtype)
-        out = self._scratch("cols_grad", shape, dtype)
-        return np.matmul(g_nhwc, w_flat, out=out)
-
-    def _col2im_accumulator(self, shape: Tuple[int, ...],
-                            dtype: np.dtype) -> np.ndarray:
-        buf = self._scratch("col2im", shape, dtype)
-        buf.fill(0)
-        return buf
-
-    def _to_nchw(self, nhwc: np.ndarray, shape: Tuple[int, ...],
-                 dtype: np.dtype) -> np.ndarray:
-        # ``ascontiguousarray`` may return a view for degenerate shapes;
-        # the NHWC source is scratch here, so always copy into a fresh
-        # caller-owned array (same values, guaranteed ownership).
-        out = np.empty(shape, dtype=dtype)
-        np.copyto(out, nhwc.transpose(0, 3, 1, 2))
-        return out
+#: The conv kernels by name — the values ``Conv2D.conv_kernel`` and a
+#: profile's ``nn_backend`` may take.
+KERNELS: Mapping[str, Any] = MappingProxyType(
+    {"numpy": NumpyBackend(), "fft": FFTBackend()})
 
 
-# ----------------------------------------------------------------------
-# Registry and selection
-# ----------------------------------------------------------------------
-
-_REGISTRY: Dict[str, KernelBackend] = {}
-_REGISTRY_LOCK = threading.Lock()
-_DEFAULT_NAME = "numpy"
-#: Per-context override (``use_backend``); falls back to the module-wide
-#: default for threads that never entered the context manager.
-_ACTIVE: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
-    "repro_nn_backend", default=None)
-
-
-def register_backend(name: str, backend: KernelBackend, *,
-                     replace: bool = False) -> KernelBackend:
-    """Register a backend singleton under ``name``.
-
-    Third-party backends subclass :class:`KernelBackend` and register an
-    instance; ``replace=True`` permits overriding an existing name (used
-    by tests to install instrumented doubles).
-    """
-    if not isinstance(backend, KernelBackend):
-        raise TypeError(f"backend must be a KernelBackend instance, "
-                        f"got {type(backend).__name__}")
-    with _REGISTRY_LOCK:
-        if name in _REGISTRY and not replace:
-            raise ValueError(f"backend {name!r} is already registered; "
-                             f"pass replace=True to override")
-        _REGISTRY[name] = backend
-    return backend
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of every registered backend, sorted."""
-    with _REGISTRY_LOCK:
-        return tuple(sorted(_REGISTRY))
-
-
-def get_backend(name: Optional[str] = None) -> KernelBackend:
-    """Resolve a backend: explicit name, else the active/default one."""
-    if name is None:
-        name = _ACTIVE.get() or _DEFAULT_NAME
-    backend = _REGISTRY.get(name)
-    if backend is None:
+def check_kernel(name: str) -> str:
+    """Return ``name`` if it names a conv kernel, else raise ValueError."""
+    if name not in KERNELS:
         raise ValueError(f"unknown nn backend {name!r}; "
-                         f"available: {', '.join(available_backends())}")
-    return backend
-
-
-def get_default_backend_name() -> str:
-    """The name the next backend-less dispatch in this context resolves to."""
-    return _ACTIVE.get() or _DEFAULT_NAME
-
-
-def set_default_backend(name: str) -> str:
-    """Set the process-wide default backend; returns the previous name.
-
-    This is what ``--nn-backend`` and profile defaults configure.  New
-    threads inherit it (context vars don't cross thread creation, so the
-    module-wide default is the cross-thread mechanism); scoped overrides
-    should prefer :func:`use_backend`.
-    """
-    global _DEFAULT_NAME
-    get_backend(name)                                 # validate eagerly
-    previous = _DEFAULT_NAME
-    _DEFAULT_NAME = name
-    return previous
-
-
-@contextlib.contextmanager
-def use_backend(name: Optional[str]) -> Iterator[None]:
-    """Scope the active backend to a ``with`` block (``None`` is a no-op).
-
-    Context-local: concurrent serving threads and asyncio tasks can each
-    pin their own backend without interfering.
-    """
-    if name is None:
-        yield
-        return
-    get_backend(name)                                 # validate eagerly
-    token = _ACTIVE.set(name)
-    try:
-        yield
-    finally:
-        _ACTIVE.reset(token)
-
-
-register_backend("numpy", NumpyBackend())
-register_backend("fft", FFTBackend())
-register_backend("buffered", BufferedBackend())
+                         f"available: {', '.join(sorted(KERNELS))}")
+    return name

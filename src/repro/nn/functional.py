@@ -1,18 +1,15 @@
 """Neural-network operations built on the autograd engine.
 
 Contains the structured ops the MagNet/EAD reproduction needs beyond basic
-arithmetic: backend-dispatched convolutions and pooling (see
-:mod:`repro.nn.backend` for the pluggable kernel layer), nearest-neighbour
-upsampling (the MagNet decoder uses it), softmax / log-softmax (for
-classifier probabilities and the JSD detector), and the label-gather used
-by the cross-entropy loss.
+arithmetic: convolutions (on the kernels of :mod:`repro.nn.backend`) and
+pooling, nearest-neighbour upsampling (the MagNet decoder uses it),
+softmax / log-softmax (for classifier probabilities and the JSD
+detector), and the label-gather used by the cross-entropy loss.
 
-The conv/pool entry points are thin dispatchers: they validate arguments,
-resolve the active :class:`~repro.nn.backend.KernelBackend` (explicit
-``backend=`` argument, else the ambient selection), meter the dispatch,
-and wire the backend's forward/backward primitives into the autograd
-graph.  Existing call sites need no changes — ``backend=`` is a new
-optional keyword everywhere.
+``conv2d`` validates its arguments, runs the conv kernel named by its
+``conv_kernel`` argument (a :class:`~repro.nn.layers.Conv2D` passes its
+own), meters the dispatch, and wires the kernel's forward/backward
+primitives into the autograd graph.
 
 All ops follow the NCHW layout convention: images are
 ``(batch, channels, height, width)``.
@@ -21,13 +18,12 @@ All ops follow the NCHW layout convention: images are
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.nn.autograd import Tensor, _make, as_tensor, is_grad_enabled
-from repro.nn.backend import get_backend, record_dispatch
+from repro.nn.backend import KERNELS, record_dispatch
 
 __all__ = [
     "avg_pool2d",
@@ -73,42 +69,9 @@ def same_padding(kernel: int) -> int:
     return (kernel - 1) // 2
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
-            dilation: int = 1) -> np.ndarray:
-    """Deprecated private seam; use the backend interface instead.
-
-    .. deprecated::
-        Call ``get_backend("numpy").im2col(...)`` (any backend exposes
-        the primitive).  This shim delegates to the reference backend
-        and will be removed.
-    """
-    warnings.warn(
-        "repro.nn.functional._im2col is deprecated; use "
-        "repro.nn.backend.get_backend(...).im2col instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    return get_backend("numpy").im2col(x, kh, kw, stride, dilation)
-
-
-def _col2im(cols: np.ndarray, x_shape: Tuple[int, ...], kh: int, kw: int,
-            stride: int, dilation: int = 1) -> np.ndarray:
-    """Deprecated private seam; use the backend interface instead.
-
-    .. deprecated::
-        Call ``get_backend("numpy").col2im(...)``.  This shim delegates
-        to the reference backend and will be removed.
-    """
-    warnings.warn(
-        "repro.nn.functional._col2im is deprecated; use "
-        "repro.nn.backend.get_backend(...).col2im instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    return get_backend("numpy").col2im(cols, x_shape, kh, kw, stride, dilation)
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: Union[int, str] = 0,
-           dilation: int = 1, backend: Optional[str] = None) -> Tensor:
+           dilation: int = 1, conv_kernel: str = "numpy") -> Tensor:
     """2-D cross-correlation (the deep-learning "convolution").
 
     Args:
@@ -118,8 +81,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         stride: spatial stride (same in both axes).
         padding: integer zero-padding, or ``"same"`` for stride-1 odd kernels.
         dilation: spacing between kernel taps (atrous convolution).
-        backend: kernel backend name; ``None`` uses the active selection
-            (see :func:`repro.nn.backend.use_backend`).
+        conv_kernel: name of the conv kernel in
+            :data:`repro.nn.backend.KERNELS` (``"numpy"``, the bitwise
+            reference, or ``"fft"``).
 
     Returns:
         Output tensor ``(N, C_out, Ho, Wo)``.
@@ -148,7 +112,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     conv_output_size(x.shape[2], eff_kh, stride, padding)
     conv_output_size(x.shape[3], eff_kw, stride, padding)
 
-    be = get_backend(backend)
+    be = KERNELS[conv_kernel]
     t0 = time.perf_counter()
     out, ctx = be.conv2d_forward(
         x.data, weight.data, bias.data if bias is not None else None,
@@ -177,38 +141,59 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 # Pooling and upsampling
 # ----------------------------------------------------------------------
 
-def avg_pool2d(x: Tensor, kernel: int, backend: Optional[str] = None) -> Tensor:
+def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     """Non-overlapping average pooling with ``kernel``×``kernel`` windows.
 
     Input spatial dims must be divisible by ``kernel`` (MagNet's MNIST
     autoencoders pool 28→14, which satisfies this).
     """
     x = as_tensor(x)
-    _, _, h, w = x.shape
+    n, c, h, w = x.shape
     k = int(kernel)
     if h % k or w % k:
         raise ValueError(f"avg_pool2d: spatial dims ({h},{w}) not divisible by {k}")
-    be = get_backend(backend)
-    out = be.avg_pool2d_forward(x.data, k)
+    out = x.data.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
 
     def grad_fn(g):
-        return be.avg_pool2d_backward(g, k, x.dtype)
+        g_scaled = (g / (k * k)).astype(x.dtype)
+        return np.repeat(np.repeat(g_scaled, k, axis=2), k, axis=3)
 
     return _make(out.astype(x.dtype), [(x, grad_fn)])
 
 
-def max_pool2d(x: Tensor, kernel: int, backend: Optional[str] = None) -> Tensor:
+def max_pool2d(x: Tensor, kernel: int) -> Tensor:
     """Non-overlapping max pooling; gradient routes to the first argmax."""
     x = as_tensor(x)
-    _, _, h, w = x.shape
+    n, c, h, w = x.shape
     k = int(kernel)
     if h % k or w % k:
         raise ValueError(f"max_pool2d: spatial dims ({h},{w}) not divisible by {k}")
-    be = get_backend(backend)
-    out, ctx = be.max_pool2d_forward(x.data, k)
+    blocks = x.data.reshape(n, c, h // k, k, w // k, k)
+    # Pairwise maximum over the k*k taps (strided views, no copies) —
+    # much faster than a strided-axis ``.max()`` reduction or the
+    # transpose+argmax route, and bitwise-identical to both.
+    taps = [blocks[:, :, :, i, :, j] for i in range(k) for j in range(k)]
+    if len(taps) == 1:
+        out = taps[0].copy()
+    else:
+        out = np.maximum(taps[0], taps[1])
+        for tap in taps[2:]:
+            np.maximum(out, tap, out=out)
 
     def grad_fn(g):
-        return be.max_pool2d_backward(ctx, g)
+        # Route the gradient to the first maximum tap in (i, j) row-major
+        # order — the same winner the flat argmax picked — by comparing
+        # taps sequentially against the pooled maximum.  No argmax, no
+        # transposed copies.
+        gx = np.zeros((n, c, h, w), dtype=g.dtype)
+        gblocks = gx.reshape(n, c, h // k, k, w // k, k)
+        taken = np.zeros(out.shape, dtype=bool)
+        for i in range(k):
+            for j in range(k):
+                win = (blocks[:, :, :, i, :, j] == out) & ~taken
+                np.copyto(gblocks[:, :, :, i, :, j], g, where=win)
+                taken |= win
+        return gx
 
     return _make(out.astype(x.dtype), [(x, grad_fn)])
 

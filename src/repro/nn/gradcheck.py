@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from repro.nn.autograd import Tensor
-from repro.nn.backend import available_backends, get_backend, use_backend
+from repro.nn.backend import KERNELS, check_kernel
 
 __all__ = [
     "backend_equivalence_matrix",
@@ -117,86 +117,84 @@ def check_gradients(op: Callable[..., Tensor], *inputs: np.ndarray,
 
 
 def combo_check(op: Callable[..., Tensor], *arg_candidates: Sequence,
-                backends: Optional[Sequence[str]] = None,
+                kernels: Optional[Sequence[str]] = None,
                 atol: float = 1e-6, rtol: float = 1e-4,
                 **kwarg_candidates: Sequence) -> int:
-    """Exhaustively gradcheck ``op`` over argument combinations × backends.
+    """Exhaustively gradcheck ``op`` over argument combinations × kernels.
 
     Autograd-test style: each positional entry of ``arg_candidates`` and
     each keyword entry of ``kwarg_candidates`` is a *list of candidate
     values*; every element of their cartesian product is gradchecked via
-    :func:`check_gradients` under every backend in ``backends`` (default:
-    all registered backends).  Positional candidates must be ndarrays
+    :func:`check_gradients` on every conv kernel in ``kernels`` (default:
+    all of :data:`repro.nn.backend.KERNELS`), passed to ``op`` as its
+    ``conv_kernel`` keyword.  Positional candidates must be ndarrays
     (they become differentiable inputs); keyword candidates are passed
     through verbatim (strides, padding modes, dilations, ...).
 
     Combinations that raise :class:`ValueError` during the forward pass
     are skipped — the sweep deliberately includes shape/stride pairings
     that some settings reject (e.g. kernels overhanging the input), and
-    a *consistent* rejection across backends is part of the contract: if
-    one backend rejects a combination, every backend must.
+    a *consistent* rejection across kernels is part of the contract: if
+    one kernel rejects a combination, every kernel must.
 
-    Returns the number of (combination, backend) pairs actually checked,
+    Returns the number of (combination, kernel) pairs actually checked,
     so callers can assert the sweep was not vacuous.
     """
-    if backends is None:
-        backends = available_backends()
-    for name in backends:
-        get_backend(name)                    # validate before sweeping
+    kernels = tuple(KERNELS) if kernels is None else tuple(kernels)
+    for name in kernels:
+        check_kernel(name)                   # validate before sweeping
     keys = list(kwarg_candidates)
     checked = 0
     for args in itertools.product(*arg_candidates):
         for values in itertools.product(*(kwarg_candidates[k] for k in keys)):
             kwargs = dict(zip(keys, values))
             rejected: Dict[str, bool] = {}
-            for name in backends:
-                with use_backend(name):
-                    try:
-                        check_gradients(
-                            lambda *ts: op(*ts, **kwargs), *args,
-                            atol=atol, rtol=rtol)
-                        rejected[name] = False
-                        checked += 1
-                    except ValueError:
-                        rejected[name] = True
+            for name in kernels:
+                try:
+                    check_gradients(
+                        lambda *ts: op(*ts, conv_kernel=name, **kwargs),
+                        *args, atol=atol, rtol=rtol)
+                    rejected[name] = False
+                    checked += 1
+                except ValueError:
+                    rejected[name] = True
             if len(set(rejected.values())) > 1:
                 raise AssertionError(
-                    f"backends disagree on rejecting kwargs={kwargs}: "
+                    f"kernels disagree on rejecting kwargs={kwargs}: "
                     f"{rejected}")
     return checked
 
 
 def backend_equivalence_matrix(op: Callable[..., Tensor],
                                *inputs: np.ndarray,
-                               backends: Optional[Sequence[str]] = None,
+                               kernels: Optional[Sequence[str]] = None,
                                reference: str = "numpy"
                                ) -> Dict[str, Dict[str, float]]:
-    """Pin every backend's output/gradient divergence from the reference.
+    """Pin every conv kernel's output/gradient divergence from the reference.
 
-    Runs ``op`` forward and backward under each backend and measures the
-    worst absolute difference from the ``reference`` backend for the
-    output and for every input gradient.  Backends declaring
-    ``bitwise=True`` are *asserted* exactly equal; tolerance backends are
-    asserted within their declared ``rtol``/``atol``.  Returns the matrix
-    ``{backend: {"out": max_abs_diff, "grad0": ..., ...}}`` so tests and
+    Runs ``op`` forward and backward on each kernel (passed as its
+    ``conv_kernel`` keyword) and measures the worst absolute difference
+    from the ``reference`` kernel for the output and for every input
+    gradient.  Kernels declaring ``bitwise=True`` are *asserted* exactly
+    equal; tolerance kernels are asserted within their declared
+    ``rtol``/``atol``.  Returns the matrix
+    ``{kernel: {"out": max_abs_diff, "grad0": ..., ...}}`` so tests and
     benchmarks can report (and gate on) the observed bounds.
     """
-    if backends is None:
-        backends = available_backends()
+    kernels = tuple(KERNELS) if kernels is None else tuple(kernels)
     arrays = [np.asarray(x) for x in inputs]
 
     def run(name: str):
         tensors = [Tensor(a, requires_grad=True, dtype=a.dtype)
                    for a in arrays]
-        with use_backend(name):
-            out = op(*tensors)
-            out.backward(np.ones_like(out.data))
+        out = op(*tensors, conv_kernel=name)
+        out.backward(np.ones_like(out.data))
         return out.data, [t.grad for t in tensors]
 
     ref_out, ref_grads = run(reference)
     matrix: Dict[str, Dict[str, float]] = {}
-    for name in backends:
-        backend = get_backend(name)
+    for name in kernels:
+        kernel = KERNELS[check_kernel(name)]
         out, grads = run(name)
         pairs = [("out", out, ref_out)] + [
             (f"grad{i}", g, rg) for i, (g, rg) in enumerate(zip(grads,
@@ -204,14 +202,14 @@ def backend_equivalence_matrix(op: Callable[..., Tensor],
         row: Dict[str, float] = {}
         for label, got, want in pairs:
             row[label] = float(np.max(np.abs(got - want))) if got.size else 0.0
-            if backend.bitwise:
+            if kernel.bitwise:
                 assert np.array_equal(got, want), (
-                    f"backend {name!r} declares bitwise stability but "
+                    f"kernel {name!r} declares bitwise stability but "
                     f"{label} differs from {reference!r} by {row[label]:g}")
             else:
                 np.testing.assert_allclose(
-                    got, want, rtol=backend.rtol, atol=backend.atol,
-                    err_msg=(f"backend {name!r} {label} out of declared "
+                    got, want, rtol=kernel.rtol, atol=kernel.atol,
+                    err_msg=(f"kernel {name!r} {label} out of declared "
                              f"tolerance vs {reference!r}"))
         matrix[name] = row
     return matrix

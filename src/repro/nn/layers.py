@@ -21,6 +21,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn import init as initializers
 from repro.nn.autograd import Tensor, as_tensor, relu, sigmoid, tanh
+from repro.nn.backend import check_kernel
 
 
 class Module:
@@ -184,7 +185,7 @@ class Conv2D(Module):
                  stride: int = 1, padding: Union[int, str] = "same",
                  rng: Optional[np.random.Generator] = None,
                  weight_init: str = "glorot_uniform", bias: bool = True,
-                 backend: Optional[str] = None):
+                 conv_kernel: str = "numpy"):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_channels = int(in_channels)
@@ -192,10 +193,10 @@ class Conv2D(Module):
         self.kernel = int(kernel)
         self.stride = int(stride)
         self.padding = padding
-        # Kernel backend pin (None: resolve the ambient selection per
-        # dispatch).  Not part of the state dict — a checkpoint trained
-        # on one backend loads onto any other.
-        self.backend = backend
+        #: Name of the conv kernel every forward and backward runs on
+        #: (:data:`repro.nn.backend.KERNELS`).  Not part of the state
+        #: dict — a checkpoint trained on one kernel loads onto any other.
+        self.conv_kernel = check_kernel(conv_kernel)
         init_fn = initializers.get_initializer(weight_init)
         shape = (self.out_channels, self.in_channels, self.kernel, self.kernel)
         self.weight = self.register_parameter("weight", Tensor(init_fn(shape, rng)))
@@ -208,7 +209,7 @@ class Conv2D(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias,
                         stride=self.stride, padding=self.padding,
-                        backend=self.backend)
+                        conv_kernel=self.conv_kernel)
 
     def __repr__(self):
         return (f"Conv2D({self.in_channels} -> {self.out_channels}, "
@@ -219,13 +220,12 @@ class Conv2D(Module):
 class AvgPool2D(Module):
     """Non-overlapping average pooling."""
 
-    def __init__(self, kernel: int = 2, backend: Optional[str] = None):
+    def __init__(self, kernel: int = 2):
         super().__init__()
         self.kernel = int(kernel)
-        self.backend = backend
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel, backend=self.backend)
+        return F.avg_pool2d(x, self.kernel)
 
     def __repr__(self):
         return f"AvgPool2D({self.kernel}x{self.kernel})"
@@ -234,13 +234,12 @@ class AvgPool2D(Module):
 class MaxPool2D(Module):
     """Non-overlapping max pooling."""
 
-    def __init__(self, kernel: int = 2, backend: Optional[str] = None):
+    def __init__(self, kernel: int = 2):
         super().__init__()
         self.kernel = int(kernel)
-        self.backend = backend
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel, backend=self.backend)
+        return F.max_pool2d(x, self.kernel)
 
     def __repr__(self):
         return f"MaxPool2D({self.kernel}x{self.kernel})"
@@ -292,6 +291,15 @@ class Tanh(Module):
 
     def __repr__(self):
         return "Tanh()"
+
+
+def set_conv_kernel(model: Module, conv_kernel: str) -> Module:
+    """Run every :class:`Conv2D` in ``model`` on ``conv_kernel``; returns it."""
+    check_kernel(conv_kernel)
+    for module in model.modules():
+        if isinstance(module, Conv2D):
+            module.conv_kernel = conv_kernel
+    return model
 
 
 def describe(module: Module, indent: int = 0) -> str:

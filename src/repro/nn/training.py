@@ -15,7 +15,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.nn.autograd import Tensor, no_grad
-from repro.nn.backend import flush_kernel_events, use_backend
+from repro.nn.backend import flush_kernel_events
 from repro.nn.layers import Module
 from repro.nn.losses import get_loss
 from repro.nn.optim import Adam, Optimizer
@@ -78,21 +78,16 @@ class Trainer:
             ``loss(prediction, target) -> Tensor``.
         optimizer: optional pre-built optimizer (default Adam(lr=1e-3)).
         seed: controls minibatch shuffling.
-        backend: kernel backend name for all fit/evaluate dispatches
-            (``None``: the ambient selection).  Training numerics follow
-            the backend's equivalence contract — bitwise for
-            ``numpy``/``buffered``, tolerance-bounded for ``fft``.
     """
 
     def __init__(self, model: Module, loss: str = "cross_entropy",
                  optimizer: Optional[Optimizer] = None, lr: float = 1e-3,
-                 seed: int = 0, backend: Optional[str] = None):
+                 seed: int = 0):
         self.model = model
         self.loss_fn: Callable = get_loss(loss) if isinstance(loss, str) else loss
         self.loss_name = loss if isinstance(loss, str) else getattr(loss, "__name__", "custom")
         self.optimizer = optimizer or Adam(model.parameters(), lr=lr)
         self.rng = rng_from_seed(seed)
-        self.backend = backend
 
     def fit(self, x: np.ndarray, y: Optional[np.ndarray] = None, *,
             epochs: int = 5, batch_size: int = 64,
@@ -119,9 +114,8 @@ class Trainer:
         stale = 0
         epoch_seconds = histogram("train/epoch_seconds")
         self.model.train()
-        with use_backend(self.backend), \
-                span(f"fit/{self.loss_name}", batch=min(batch_size, len(x)),
-                     samples=len(x)) as fit_sp:
+        with span(f"fit/{self.loss_name}", batch=min(batch_size, len(x)),
+                  samples=len(x)) as fit_sp:
             for epoch in range(1, epochs + 1):
                 if lr_schedule is not None:
                     lr_schedule.apply(self.optimizer, epoch - 1)
@@ -168,7 +162,7 @@ class Trainer:
                             break
             fit_sp["epochs"] = len(history.epochs)
         # Fold the conv dispatch counts/wall-time accumulated by this fit
-        # into the telemetry log (per-backend nn/kernels/<name> events).
+        # into the telemetry log (per-kernel nn/kernels/<name> events).
         flush_kernel_events()
         self.model.eval()
         return history
@@ -177,7 +171,7 @@ class Trainer:
                       batch_size: int = 256) -> float:
         """Mean loss over a dataset without building graphs."""
         losses, weights = [], []
-        with use_backend(self.backend), no_grad():
+        with no_grad():
             for xb, yb in iterate_minibatches(x, y, batch_size, shuffle=False):
                 target = yb if yb is not None else xb
                 pred = self.model(Tensor(xb))

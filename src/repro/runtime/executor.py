@@ -124,16 +124,13 @@ def _picklable_error(exc: BaseException) -> BaseException:
 
 def _run_one(fn, item, seed, index: int, attempt: int,
              timeout_s: Optional[float], plan: Optional[FaultPlan],
-             trace_ctx: Optional[TraceContext], in_worker: bool,
-             backend: Optional[str]):
+             trace_ctx: Optional[TraceContext], in_worker: bool):
     """Run one supervised item; never raises (crash faults excepted)."""
-    from repro.nn.backend import use_backend
-
     try:
         with _watchdog(timeout_s):
             if plan is not None:
                 plan.fire(index, attempt, in_worker=in_worker)
-            with attach_trace_context(trace_ctx), use_backend(backend):
+            with attach_trace_context(trace_ctx):
                 value = fn(item) if seed is None else fn(item, seed=seed)
                 return (index, "ok", value)
     except Exception as exc:
@@ -156,13 +153,11 @@ class _MapRun:
 
     def __init__(self, fn, items, seeds, policy: RetryPolicy,
                  fault_plan: Optional[FaultPlan],
-                 trace_ctx: Optional[TraceContext], backend: Optional[str],
-                 on_result):
+                 trace_ctx: Optional[TraceContext], on_result):
         self.fn, self.items, self.seeds = fn, items, seeds
         self.policy = policy
         self.fault_plan = fault_plan
         self.trace_ctx = trace_ctx
-        self.backend = backend
         self.on_result = on_result
         n = len(items)
         self.results: List[Any] = [None] * n
@@ -175,7 +170,7 @@ class _MapRun:
         """Positional arguments of :func:`_run_one` for item ``index``."""
         return (self.fn, self.items[index], self.seeds[index], index,
                 self.attempts[index], timeout_s, self.fault_plan,
-                self.trace_ctx, in_worker, self.backend)
+                self.trace_ctx, in_worker)
 
     def unfinished(self) -> List[int]:
         return [i for i in range(len(self.items))
@@ -338,8 +333,6 @@ class ParallelExecutor:
         sweep publish artifacts incrementally so an interrupted run can
         resume from the last completed item.
         """
-        from repro.nn.backend import get_backend
-
         items = list(items)
         n = len(items)
         if self.seed is not None:
@@ -350,13 +343,10 @@ class ParallelExecutor:
         with span("runtime/map", items=n, jobs=jobs) as sp:
             # The map span is the parent of every item's spans, whether
             # the item runs in this process or in a pool worker (the
-            # context rides along in each payload).  The kernel backend
-            # rides along too: workers resolve the parent's *active*
-            # selection, so jobs>1 is numerically identical to jobs=1
-            # even under use_backend()/set_default_backend().
+            # context rides along in each payload).
             run = _MapRun(fn, items, seeds, self._effective_policy(),
                           self.fault_plan, current_trace_context(),
-                          get_backend().name, on_result)
+                          on_result)
             if jobs <= 1:
                 run.drain_serial(range(n))
             else:

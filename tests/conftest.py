@@ -7,6 +7,8 @@ tests never touch the repo-level .repro_cache.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,16 @@ def tiny_ae_spec():
 def tiny_autoencoder(tiny_zoo, tiny_ae_spec):
     """A small digits autoencoder trained once per session."""
     return tiny_zoo.autoencoder(tiny_ae_spec)
+
+
+@pytest.fixture(scope="session")
+def tiny_fft_profile():
+    """The smoke profile shrunk to seconds, with every model on fft."""
+    from repro.experiments.config import SMOKE
+
+    return dataclasses.replace(
+        SMOKE, name="tiny-fft", nn_backend="fft",
+        digits_sizes=(200, 100, 100), digits_attack=4,
+        max_iterations=10, binary_search_steps=1,
+        digits_kappas=(0.0,), betas=(1e-1,),
+        classifier_epochs=1, ae_epochs=1)

@@ -1,119 +1,33 @@
-"""Kernel backend registry, equivalence, plumbing and edge-case tests."""
+"""Conv kernels: equivalence, edge cases, metering, and the kernel each
+model carries through the experiment pipeline."""
 
-import warnings
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.nn import Tensor
-from repro.nn.backend import (
-    BufferedBackend,
-    KernelBackend,
-    available_backends,
-    get_backend,
-    get_default_backend_name,
-    register_backend,
-    set_default_backend,
-    use_backend,
-)
-from repro.nn.functional import _col2im, _im2col, conv2d, conv_output_size
+from repro.nn.backend import KERNELS
+from repro.nn.functional import conv2d, conv_output_size
 from repro.nn.gradcheck import backend_equivalence_matrix, combo_check
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The kernel table
 # ----------------------------------------------------------------------
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "fft" in names
-        assert "buffered" in names
-
-    def test_get_backend_by_name(self):
-        assert get_backend("numpy").name == "numpy"
-        assert get_backend("fft").name == "fft"
-
-    def test_get_backend_default_resolution(self):
-        assert get_backend(None).name == get_default_backend_name()
+        assert set(KERNELS) == {"numpy", "fft"}
+        assert all(KERNELS[name].name == name for name in KERNELS)
 
     def test_unknown_name_raises_with_available_list(self):
+        from repro.nn.layers import Conv2D, Sequential, set_conv_kernel
+
+        with pytest.raises(ValueError, match="unknown nn backend.*fft, numpy"):
+            Conv2D(1, 1, 3, conv_kernel="cuda")
         with pytest.raises(ValueError, match="unknown nn backend"):
-            get_backend("cuda")
-        with pytest.raises(ValueError, match="numpy"):
-            get_backend("cuda")
-
-    def test_register_requires_kernel_backend_instance(self):
-        with pytest.raises(TypeError, match="KernelBackend"):
-            register_backend("bogus", object())  # type: ignore[arg-type]
-
-    def test_duplicate_registration_rejected_without_replace(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("numpy", KernelBackend())
-
-    def test_replace_and_restore(self):
-        original = get_backend("numpy")
-
-        class Probe(KernelBackend):
-            name = "numpy"
-
-        try:
-            register_backend("numpy", Probe(), replace=True)
-            assert isinstance(get_backend("numpy"), Probe)
-        finally:
-            register_backend("numpy", original, replace=True)
-
-    def test_third_party_backend_roundtrip(self):
-        class Custom(KernelBackend):
-            name = "custom-test"
-
-        try:
-            register_backend("custom-test", Custom())
-            assert "custom-test" in available_backends()
-            x = Tensor(np.random.default_rng(0).standard_normal(
-                (1, 1, 5, 5)).astype(np.float32), requires_grad=True)
-            w = Tensor(np.random.default_rng(1).standard_normal(
-                (2, 1, 3, 3)).astype(np.float32), requires_grad=True)
-            y = conv2d(x, w, backend="custom-test")
-            y.sum().backward()
-            assert x.grad is not None
-        finally:
-            from repro.nn import backend as backend_mod
-            with backend_mod._REGISTRY_LOCK:
-                backend_mod._REGISTRY.pop("custom-test", None)
-
-
-class TestSelection:
-    def test_use_backend_scopes_and_restores(self):
-        before = get_default_backend_name()
-        with use_backend("fft"):
-            assert get_default_backend_name() == "fft"
-            with use_backend("buffered"):
-                assert get_default_backend_name() == "buffered"
-            assert get_default_backend_name() == "fft"
-        assert get_default_backend_name() == before
-
-    def test_use_backend_none_is_noop(self):
-        before = get_default_backend_name()
-        with use_backend(None):
-            assert get_default_backend_name() == before
-
-    def test_use_backend_validates_eagerly(self):
-        with pytest.raises(ValueError, match="unknown nn backend"):
-            with use_backend("no-such-backend"):
-                pass  # pragma: no cover
-
-    def test_set_default_backend_returns_previous(self):
-        prev = set_default_backend("buffered")
-        try:
-            assert get_default_backend_name() == "buffered"
-        finally:
-            set_default_backend(prev)
-
-    def test_set_default_backend_validates(self):
-        with pytest.raises(ValueError, match="unknown nn backend"):
-            set_default_backend("no-such-backend")
+            set_conv_kernel(Sequential(Conv2D(1, 1, 3)), "cuda")
 
 
 # ----------------------------------------------------------------------
@@ -129,13 +43,13 @@ class TestInterchangeability:
         checked = combo_check(
             lambda x, w, **kw: conv2d(x, w, **kw),
             xs[:1], ws, stride=[1, 2], padding=[0, 1], dilation=[1, 2])
-        # 1 x * 1 w * 2 strides * 2 paddings * 2 dilations * >=3 backends,
+        # 1 x * 1 w * 2 strides * 2 paddings * 2 dilations * 2 kernels,
         # minus consistently-rejected overhang combinations.
-        assert checked >= 12
+        assert checked >= 8
 
     def test_combo_check_rejections_consistent(self):
-        # kernel 5 on unpadded size-3 input must raise under EVERY
-        # backend (combo_check asserts cross-backend consistency).
+        # kernel 5 on unpadded size-3 input must raise on EVERY conv
+        # kernel (combo_check asserts cross-kernel consistency).
         rng = np.random.default_rng(1)
         checked = combo_check(
             lambda x, w, **kw: conv2d(x, w, **kw),
@@ -143,19 +57,17 @@ class TestInterchangeability:
             [rng.standard_normal((1, 1, 5, 5))],
             padding=[0, 1, 2])
         # only padding=1 (size 5 exactly) and padding=2 survive
-        assert checked == 2 * len(available_backends())
+        assert checked == 2 * len(KERNELS)
 
     def test_equivalence_matrix_bounds(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
         w = (rng.standard_normal((4, 3, 3, 3)) / 5).astype(np.float32)
         matrix = backend_equivalence_matrix(
-            lambda x, w: conv2d(x, w, padding=1), x, w)
+            lambda x, w, **kw: conv2d(x, w, padding=1, **kw), x, w)
         assert matrix["numpy"]["out"] == 0.0
-        assert matrix["buffered"]["out"] == 0.0      # bitwise contract
-        assert matrix["buffered"]["grad0"] == 0.0
         assert matrix["fft"]["out"] > 0.0            # tolerance contract
-        fft = get_backend("fft")
+        fft = KERNELS["fft"]
         scale = float(np.abs(x).max())
         assert matrix["fft"]["out"] <= fft.rtol * 10 * scale
 
@@ -163,10 +75,10 @@ class TestInterchangeability:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
         w = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
-        for name in available_backends():
+        for name in KERNELS:
             xt = Tensor(x, requires_grad=True, dtype=np.float32)
             wt = Tensor(w, requires_grad=True, dtype=np.float32)
-            y = conv2d(xt, wt, padding=1, backend=name)
+            y = conv2d(xt, wt, padding=1, conv_kernel=name)
             y.sum().backward()
             assert y.data.dtype == np.float32, name
             assert xt.grad.dtype == np.float32, name
@@ -174,31 +86,8 @@ class TestInterchangeability:
 
 
 # ----------------------------------------------------------------------
-# Deprecated seams and edge handling
+# Edge handling
 # ----------------------------------------------------------------------
-
-class TestDeprecatedSeams:
-    def test_im2col_shim_warns_and_matches_backend(self):
-        x = np.arange(32, dtype=np.float32).reshape(1, 2, 4, 4)
-        with pytest.warns(DeprecationWarning, match="_im2col is deprecated"):
-            cols = _im2col(x, 3, 3, 1)
-        expected = get_backend("numpy").im2col(x, 3, 3, 1)
-        np.testing.assert_array_equal(cols, expected)
-
-    def test_col2im_shim_warns_and_matches_backend(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        cols = get_backend("numpy").im2col(x, 3, 3, 1)
-        with pytest.warns(DeprecationWarning, match="_col2im is deprecated"):
-            back = _col2im(cols, x.shape, 3, 3, 1)
-        expected = get_backend("numpy").col2im(cols, x.shape, 3, 3, 1)
-        np.testing.assert_array_equal(back, expected)
-
-    def test_backend_primitives_do_not_warn(self):
-        x = np.zeros((1, 1, 4, 4), dtype=np.float32)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            get_backend("numpy").im2col(x, 3, 3, 1)
-
 
 class TestEdgeHandling:
     def test_conv_output_size_ok(self):
@@ -211,12 +100,12 @@ class TestEdgeHandling:
         with pytest.raises(ValueError, match="does not fit"):
             conv_output_size(2, 3, 2, 0)
 
-    @pytest.mark.parametrize("backend", ["numpy", "fft", "buffered"])
+    @pytest.mark.parametrize("backend", ["numpy", "fft"])
     def test_conv2d_overhang_raises_before_dispatch(self, backend):
         x = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 5, 5), dtype=np.float32))
         with pytest.raises(ValueError, match="does not fit"):
-            conv2d(x, w, backend=backend)
+            conv2d(x, w, conv_kernel=backend)
 
     def test_dilated_overhang_raises(self):
         # effective kernel (3-1)*3+1 = 7 > padded size 5+0
@@ -224,150 +113,6 @@ class TestEdgeHandling:
         w = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="does not fit"):
             conv2d(x, w, dilation=3)
-
-
-# ----------------------------------------------------------------------
-# Buffered backend pool behaviour
-# ----------------------------------------------------------------------
-
-class TestBufferedPool:
-    def _dispatch(self, be, needs_grad=False):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
-        w = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
-        return be.conv2d_forward(x, w, None, 1, 1, 1, needs_grad)
-
-    def test_pool_populates_and_clears(self):
-        be = get_backend("buffered")
-        be.clear()
-        assert be.pool_size() == 0
-        self._dispatch(be)
-        assert be.pool_size() > 0
-        be.clear()
-        assert be.pool_size() == 0
-
-    def test_pool_reuses_buffers_across_dispatches(self):
-        be = get_backend("buffered")
-        be.clear()
-        self._dispatch(be)
-        size_after_first = be.pool_size()
-        self._dispatch(be)
-        assert be.pool_size() == size_after_first
-
-    def test_results_owned_not_scratch(self):
-        be = get_backend("buffered")
-        be.clear()
-        out1, _ = self._dispatch(be)
-        copy1 = out1.copy()
-        self._dispatch(be)
-        np.testing.assert_array_equal(out1, copy1)
-
-    def test_max_buffers_safety_valve(self):
-        be = BufferedBackend()
-        for i in range(be.MAX_BUFFERS + 5):
-            be._scratch("probe", (i + 1,), np.float32)
-        assert be.pool_size() <= be.MAX_BUFFERS + 1
-
-
-# ----------------------------------------------------------------------
-# CLI / profile / worker plumbing
-# ----------------------------------------------------------------------
-
-class TestPlumbing:
-    def test_cli_parses_nn_backend(self):
-        from repro.experiments.__main__ import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["run", "table3", "--nn-backend", "fft"])
-        assert args.nn_backend == "fft"
-        args = parser.parse_args(["run", "table3"])
-        assert args.nn_backend is None
-
-    def test_cli_rejects_unknown_backend(self):
-        from repro.experiments.__main__ import build_parser
-
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "table3", "--nn-backend", "cuda"])
-
-    def test_resolve_prefers_flag_over_profile(self):
-        from repro.experiments.__main__ import _resolve_nn_backend
-        from repro.experiments.config import PAPER, QUICK
-
-        prev = get_default_backend_name()
-        try:
-            assert _resolve_nn_backend(None, PAPER) == "fft"
-            assert _resolve_nn_backend(None, QUICK) == "numpy"
-            assert _resolve_nn_backend("buffered", PAPER) == "buffered"
-        finally:
-            set_default_backend(prev)
-
-    def test_profile_field_defaults(self):
-        from repro.experiments.config import PAPER, QUICK, SMOKE
-
-        assert PAPER.nn_backend == "fft"
-        assert QUICK.nn_backend == "numpy"
-        assert SMOKE.nn_backend == "numpy"
-
-    def test_context_rejects_unknown_backend(self):
-        from repro.experiments.config import SMOKE
-        from repro.experiments.context import ExperimentContext
-
-        with pytest.raises(ValueError, match="unknown nn backend"):
-            ExperimentContext("digits", profile=SMOKE, nn_backend="cuda")
-
-    def test_attack_cache_key_stable_for_numpy_but_split_for_fft(self):
-        from repro.experiments.config import SMOKE
-        from repro.experiments.context import ExperimentContext
-
-        ctx = ExperimentContext("digits", profile=SMOKE)
-        # avoid training a classifier just to fingerprint the key
-        ctx._clf_fingerprint = "test-fingerprint"
-        spec = {"attack": "ead", "variant": "default", "beta": 0.01}
-        base = ctx._attack_key(spec)
-        ctx.nn_backend = "numpy"
-        assert ctx._attack_key(spec) == base
-        ctx.nn_backend = "fft"
-        assert ctx._attack_key(spec) != base
-
-    def test_workers_inherit_active_backend(self):
-        """jobs>1 fan-out must run under the caller's backend selection."""
-        from repro.runtime.executor import ParallelExecutor
-
-        def probe(_):
-            return get_default_backend_name()
-
-        ex = ParallelExecutor(jobs=2)
-        with use_backend("buffered"):
-            results = ex.map(probe, [0, 1, 2, 3])
-        assert results == ["buffered"] * 4
-
-    def test_serial_map_inherits_backend_too(self):
-        from repro.runtime.executor import ParallelExecutor
-
-        def probe(_):
-            return get_default_backend_name()
-
-        ex = ParallelExecutor(jobs=1)
-        with use_backend("fft"):
-            assert ex.map(probe, [0, 1]) == ["fft", "fft"]
-
-    def test_worker_inheritance_is_deterministic(self):
-        """Same work, same backend, any fan-out: identical results."""
-        from repro.runtime.executor import ParallelExecutor
-
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((1, 1, 6, 6)).astype(np.float32)
-        w = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)
-
-        def work(seed):
-            y = conv2d(Tensor(x), Tensor(w), padding=1)
-            return float(y.data.sum())
-
-        with use_backend("buffered"):
-            serial = ParallelExecutor(jobs=1).map(work, [0, 1, 2])
-            fanned = ParallelExecutor(jobs=2).map(work, [0, 1, 2])
-        assert serial == fanned
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +126,7 @@ class TestMetering:
         before = kernel_stats().get("fft", {}).get("dispatches", 0)
         x = Tensor(np.zeros((1, 1, 6, 6), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
-        conv2d(x, w, padding=1, backend="fft")
+        conv2d(x, w, padding=1, conv_kernel="fft")
         after = kernel_stats()["fft"]["dispatches"]
         assert after == before + 1
 
@@ -390,8 +135,8 @@ class TestMetering:
 
         x = Tensor(np.zeros((1, 1, 6, 6), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
-        conv2d(x, w, padding=1, backend="buffered")
-        stats = kernel_stats()["buffered"]
+        conv2d(x, w, padding=1)
+        stats = kernel_stats()["numpy"]
         assert stats["seconds"] >= 0.0
         assert stats["dispatches"] >= 1
 
@@ -403,7 +148,7 @@ class TestMetering:
         t0, b0 = total.value, per_backend.value
         x = Tensor(np.zeros((1, 1, 6, 6), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
-        conv2d(x, w, padding=1, backend="numpy")
+        conv2d(x, w, padding=1)
         assert counter("nn/conv_dispatches").value == t0 + 1
         assert counter("nn/conv_dispatches/numpy").value == b0 + 1
 
@@ -412,6 +157,148 @@ class TestMetering:
 
         x = Tensor(np.zeros((1, 1, 6, 6), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
-        conv2d(x, w, padding=1, backend="numpy")
+        conv2d(x, w, padding=1)
         flush_kernel_events()
         flush_kernel_events()  # deltas only; must not double-count/raise
+
+
+# ----------------------------------------------------------------------
+# The kernel each model carries through the pipeline
+# ----------------------------------------------------------------------
+
+def _fft_model():
+    from repro.nn.layers import Conv2D, Sequential
+
+    return Sequential(Conv2D(1, 2, 3, conv_kernel="fft"))
+
+
+def _kernel_probe(model):
+    """Run ``model`` once; report the pid and the kernels it dispatched.
+
+    Module-level so a process pool pickles it by reference: the model
+    (and the kernel name it carries) is the only state a worker gets.
+    """
+    import os
+
+    from repro.nn.backend import kernel_stats
+
+    def dispatches():
+        return {name: stat["dispatches"]
+                for name, stat in kernel_stats().items()}
+
+    x = np.random.default_rng(0).standard_normal(
+        (1, 1, 6, 6)).astype(np.float32)
+    before = dispatches()
+    y = model(Tensor(x))
+    after = dispatches()
+    grew = sorted(name for name, n in after.items()
+                  if n > before.get(name, 0))
+    return os.getpid(), grew, y.data.tobytes()
+
+
+def _context(profile, tmp_path, **overrides):
+    from repro.experiments.context import ExperimentContext
+    from repro.utils.cache import DiskCache
+
+    return ExperimentContext(
+        "digits", profile=dataclasses.replace(profile, **overrides),
+        cache=DiskCache(tmp_path))
+
+
+class TestPlumbing:
+    def test_profile_field_defaults(self):
+        from repro.experiments.config import PAPER, QUICK, SMOKE
+
+        assert PAPER.nn_backend == "fft"
+        assert QUICK.nn_backend == "numpy"
+        assert SMOKE.nn_backend == "numpy"
+
+    def test_context_rejects_unknown_backend(self, tiny_fft_profile,
+                                             tmp_path):
+        with pytest.raises(ValueError, match="unknown nn backend"):
+            _context(tiny_fft_profile, tmp_path, nn_backend="cuda")
+
+    def test_memoized_context_follows_the_profile_kernel(self, tmp_path):
+        from repro.experiments.config import SMOKE
+        from repro.experiments.registry import clear_contexts, get_context
+        from repro.utils.cache import DiskCache
+
+        cache = DiskCache(tmp_path)
+        try:
+            get_context("digits", SMOKE, cache=cache)
+            fft = get_context("digits",
+                              dataclasses.replace(SMOKE, nn_backend="fft"),
+                              cache=cache)
+        finally:
+            clear_contexts()
+        assert fft.profile.nn_backend == "fft"
+
+    def test_attack_cache_key_stable_for_numpy_but_split_for_fft(
+            self, tmp_path):
+        from repro.experiments.config import SMOKE
+
+        spec = {"attack": "ead", "variant": "default", "beta": 0.01}
+        keys = {}
+        for kernel in ("numpy", "fft"):
+            ctx = _context(SMOKE, tmp_path, nn_backend=kernel)
+            # avoid training a classifier just to fingerprint the key
+            ctx._clf_fingerprint = "test-fingerprint"
+            keys[kernel] = ctx._attack_key(spec)
+        # The numpy key predates per-model kernels; existing stores hit.
+        assert keys["numpy"] == "2ed0c4d8e61bdff5"
+        assert keys["fft"] != keys["numpy"]
+
+    def test_models_key_stable_for_numpy_but_split_for_fft(self, tmp_path):
+        from repro.experiments.config import SMOKE
+
+        keys = {}
+        for kernel in ("numpy", "fft"):
+            ctx = _context(SMOKE, tmp_path, name="tiny",
+                           digits_sizes=(200, 100, 100), nn_backend=kernel)
+            keys[kernel] = ctx.zoo._key(ctx.classifier_spec())
+        assert keys["numpy"] == "f872c933a34a5daf"
+        assert keys["fft"] != keys["numpy"]
+
+    def test_fft_profile_runs_every_conv_on_fft(self, tiny_fft_profile,
+                                                tmp_path):
+        """Training, calibration and attacks all run the profile's kernel."""
+        from repro.nn.backend import kernel_stats
+
+        def dispatches():
+            return {name: stat["dispatches"]
+                    for name, stat in kernel_stats().items()}
+
+        before = dispatches()
+        ctx = _context(tiny_fft_profile, tmp_path)
+        ctx.magnet("default")          # classifier + AE training, calibration
+        ctx.ead(tiny_fft_profile.betas[0], tiny_fft_profile.digits_kappas[0])
+        after = dispatches()
+        grew = {name for name, n in after.items() if n > before.get(name, 0)}
+        assert grew == {"fft"}
+
+    def test_workers_inherit_active_backend(self):
+        """jobs>1 workers run the kernel the pickled model carries."""
+        import os
+
+        from repro.runtime.executor import ParallelExecutor
+
+        results = ParallelExecutor(jobs=2).map(
+            _kernel_probe, [_fft_model() for _ in range(4)])
+        assert [grew for _, grew, _ in results] == [["fft"]] * 4
+        assert any(pid != os.getpid() for pid, _, _ in results)
+
+    def test_serial_map_inherits_backend_too(self):
+        from repro.runtime.executor import ParallelExecutor
+
+        results = ParallelExecutor(jobs=1).map(
+            _kernel_probe, [_fft_model(), _fft_model()])
+        assert [grew for _, grew, _ in results] == [["fft"], ["fft"]]
+
+    def test_worker_inheritance_is_deterministic(self):
+        """Same model, same kernel, any fan-out: identical outputs."""
+        from repro.runtime.executor import ParallelExecutor
+
+        models = [_fft_model() for _ in range(3)]
+        serial = ParallelExecutor(jobs=1).map(_kernel_probe, models)
+        fanned = ParallelExecutor(jobs=2).map(_kernel_probe, models)
+        assert [out for _, _, out in serial] == [out for _, _, out in fanned]

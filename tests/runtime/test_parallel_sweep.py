@@ -92,3 +92,22 @@ class TestAttackGrid:
                                    include_cw=False)
         assert all(c["attack"] == "ead" for c in cells)
         assert len(cells) == 2
+
+
+class TestKernelCrossesProcesses:
+    def test_fft_sweep_jobs_1_equals_jobs_2(
+            self, tiny_fft_profile, tmp_path):
+        """Workers craft on the fft kernel the pickled classifier carries."""
+        from repro.utils.cache import DiskCache
+
+        ctx = ExperimentContext("digits", profile=tiny_fft_profile,
+                                cache=DiskCache(tmp_path), seed=0)
+        sweeps.precompute_attacks(ctx, kappas=KAPPAS, betas=BETAS, jobs=1)
+        serial_hashes = _grid_hashes(ctx)
+
+        _clear_attacks(ctx)
+        summary = sweeps.precompute_attacks(ctx, kappas=KAPPAS, betas=BETAS,
+                                            jobs=2)
+        assert summary["computed"] == 2
+        assert summary["jobs"] == 2
+        assert _grid_hashes(ctx) == serial_hashes

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.defenses.detectors import ReconstructionDetector
+from repro.defenses.detectors import JSDDetector, ReconstructionDetector
 from repro.defenses.magnet import MagNet
 from repro.defenses.reformer import Reformer
 from repro.serving import (
@@ -28,12 +28,39 @@ from repro.serving import (
     ServingClosedError,
     ServingConfig,
 )
+from repro.nn.layers import (
+    Conv2D,
+    Dense,
+    Flatten,
+    ReLU,
+    Sequential,
+    Sigmoid,
+    set_conv_kernel,
+)
 from repro.serving.smoke import DIM, build_toy_magnet
 
 
 @pytest.fixture(scope="module")
 def toy_magnet():
     return build_toy_magnet(seed=3)
+
+
+def _fft_toy_magnet():
+    """A calibrated conv MagNet whose every conv runs the fft kernel."""
+    rng = np.random.default_rng(11)
+    classifier = set_conv_kernel(Sequential(
+        Conv2D(1, 4, 3, rng=rng), ReLU(), Flatten(),
+        Dense(4 * 8 * 8, 10, rng=rng)), "fft")
+    autoencoder = set_conv_kernel(Sequential(
+        Conv2D(1, 4, 3, rng=rng), Sigmoid(),
+        Conv2D(4, 1, 3, rng=rng), Sigmoid()), "fft")
+    detectors = [ReconstructionDetector(autoencoder, norm=1),
+                 JSDDetector(autoencoder, classifier, temperature=10.0)]
+    magnet = MagNet(classifier, detectors, Reformer(autoencoder),
+                    name="toy-fft")
+    magnet.calibrate(rng.random((64, 1, 8, 8)).astype(np.float32),
+                     fpr_total=0.02)
+    return magnet
 
 
 def _inputs(n, seed=0):
@@ -139,6 +166,11 @@ class TestEquality:
 
     def test_toy_magnet_bitwise(self, toy_magnet):
         self._assert_equal(toy_magnet, list(_inputs(12, seed=5)))
+
+    def test_fft_magnet_bitwise(self):
+        # The worker runs the kernel the pickled or forked model carries.
+        xs = np.random.default_rng(5).random((12, 1, 8, 8))
+        self._assert_equal(_fft_toy_magnet(), list(xs.astype(np.float32)))
 
     def test_trained_magnet_bitwise(self, tiny_classifier, tiny_autoencoder,
                                     tiny_splits):

@@ -280,7 +280,7 @@ class _DetectorAwareMixin:
     def _attack_loss_and_grad(self, x, labels):
         f_vals, grad, logits = super()._attack_loss_and_grad(x, labels)
         p_vals, p_grad = self.penalty.value_and_grad(x)
-        return f_vals + p_vals, grad + p_grad.astype(grad.dtype), logits
+        return f_vals + p_vals, grad + p_grad, logits
 
     def _attack_loss(self, x, labels):
         f_vals, logits = super()._attack_loss(x, labels)

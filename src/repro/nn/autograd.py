@@ -289,6 +289,29 @@ def as_tensor(value: Union[Tensor, ArrayLike], dtype=None) -> Tensor:
     return Tensor(value, requires_grad=False, dtype=dtype)
 
 
+#: Python scalars are "weak" operands (NumPy's NEP 50 rule): they take
+#: the other operand's dtype instead of promoting it.  NumPy scalars
+#: (``np.float64(2.0)``, which subclasses ``float``) are not in this set,
+#: so the exact-type test below lets them promote as NumPy would.
+_PY_SCALARS = (bool, int, float)
+
+
+def _operands(a, b) -> Tuple[Tensor, Tensor]:
+    """Coerce a binary op's operands; a Python scalar takes the other's dtype.
+
+    Without this, ``logits * 6.0`` would wrap ``6.0`` as a float64 0-d
+    array and promote a float32 graph (and every backward pass through
+    it) to float64.
+    """
+    if type(b) in _PY_SCALARS and type(a) not in _PY_SCALARS:
+        a = as_tensor(a)
+        return a, as_tensor(b, dtype=a.dtype)
+    if type(a) in _PY_SCALARS and type(b) not in _PY_SCALARS:
+        b = as_tensor(b)
+        return as_tensor(a, dtype=b.dtype), b
+    return as_tensor(a), as_tensor(b)
+
+
 def _make(data: np.ndarray,
           parents: Iterable[Tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]) -> Tensor:
     """Build an op output, recording parents only when grad mode is on."""
@@ -303,7 +326,7 @@ def _make(data: np.ndarray,
 # ----------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data + b.data
     return _make(data, [
         (a, lambda g: unbroadcast(g, a.shape)),
@@ -312,7 +335,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data - b.data
     return _make(data, [
         (a, lambda g: unbroadcast(g, a.shape)),
@@ -321,7 +344,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data * b.data
     return _make(data, [
         (a, lambda g: unbroadcast(g * b.data, a.shape)),
@@ -330,7 +353,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data / b.data
     return _make(data, [
         (a, lambda g: unbroadcast(g / b.data, a.shape)),
@@ -390,7 +413,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; gradient is split 50/50 on exact ties."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = np.maximum(a.data, b.data)
     a_wins = (a.data > b.data).astype(data.dtype)
     ties = (a.data == b.data).astype(data.dtype) * 0.5
@@ -402,7 +425,7 @@ def maximum(a, b) -> Tensor:
 
 
 def minimum(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = np.minimum(a.data, b.data)
     a_wins = (a.data < b.data).astype(data.dtype)
     ties = (a.data == b.data).astype(data.dtype) * 0.5
@@ -563,7 +586,7 @@ def pad2d(a, padding: int) -> Tensor:
 
 def where(condition: np.ndarray, a, b) -> Tensor:
     """Elementwise select by a boolean ndarray (condition is not differentiable)."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     cond = np.asarray(condition, dtype=bool)
     data = np.where(cond, a.data, b.data)
     mask = cond.astype(data.dtype)

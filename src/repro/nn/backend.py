@@ -163,37 +163,6 @@ class NumpyBackend:
     rtol = 0.0
     atol = 0.0
 
-    def im2col(self, x: np.ndarray, kh: int, kw: int, stride: int,
-               dilation: int = 1) -> np.ndarray:
-        """Extract sliding windows: (N, C, H, W) -> (N, Ho, Wo, C, kh, kw).
-
-        Filled tap-by-tap (kh*kw strided slice copies) directly into the
-        output layout — substantially faster than gathering through a
-        ``sliding_window_view`` and leaves the result contiguous, so the
-        caller's flattening reshape is free.  ``dilation`` spaces the
-        kernel taps (effective kernel size ``(k-1)*dilation + 1``).
-        """
-        n, c, h, w = x.shape
-        eff_kh = (kh - 1) * dilation + 1
-        eff_kw = (kw - 1) * dilation + 1
-        if eff_kh > h or eff_kw > w:
-            raise ValueError(
-                f"im2col: effective kernel ({eff_kh}, {eff_kw}) exceeds "
-                f"input spatial size ({h}, {w}); pad the input or shrink "
-                f"the kernel/dilation"
-            )
-        ho = (h - eff_kh) // stride + 1
-        wo = (w - eff_kw) // stride + 1
-        out = np.empty((n, ho, wo, c, kh, kw), dtype=x.dtype)
-        for i in range(kh):
-            row = i * dilation
-            for j in range(kw):
-                col = j * dilation
-                patch = x[:, :, row:row + stride * ho:stride,
-                          col:col + stride * wo:stride]
-                out[:, :, :, :, i, j] = patch.transpose(0, 2, 3, 1)
-        return out
-
     def col2im(self, cols: np.ndarray, x_shape: Tuple[int, ...], kh: int,
                kw: int, stride: int, dilation: int = 1) -> np.ndarray:
         """Scatter-add window gradients back to image shape (im2col inverse).
@@ -220,25 +189,43 @@ class NumpyBackend:
                        bias: Optional[np.ndarray], stride: int, padding: int,
                        dilation: int, needs_grad: bool
                        ) -> Tuple[np.ndarray, Any]:
+        """im2col + one GEMM, gathered channels-last.
+
+        The input is padded and moved to NHWC in one copy, so each of
+        the kh*kw tap copies into the ``(N, Ho, Wo, C, kh, kw)`` column
+        buffer reads runs of contiguous channel vectors.  ``conv2d`` has
+        already checked that the (dilated) kernel fits the padded input.
+        """
         co, ci, kh, kw = weight.shape
-        xp = _pad(x, padding)
-        n = xp.shape[0]
-        cols = self.im2col(xp, kh, kw, stride, dilation)
-        ho, wo = cols.shape[1], cols.shape[2]
+        n, _, h, w = x.shape
+        hp, wp = h + 2 * padding, w + 2 * padding
+        xp = np.zeros((n, hp, wp, ci), dtype=x.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+        ho = (hp - (kh - 1) * dilation - 1) // stride + 1
+        wo = (wp - (kw - 1) * dilation - 1) // stride + 1
+        cols = np.empty((n, ho, wo, ci, kh, kw), dtype=x.dtype)
+        for i in range(kh):
+            row = i * dilation
+            for j in range(kw):
+                col = j * dilation
+                cols[..., i, j] = xp[:, row:row + stride * ho:stride,
+                                     col:col + stride * wo:stride]
         cols_flat = cols.reshape(n, ho, wo, ci * kh * kw)
         w_flat = weight.reshape(co, ci * kh * kw)
         out = cols_flat @ w_flat.T                      # (N, Ho, Wo, C_out)
-        if bias is not None:
-            out += bias
-        out = _to_nchw(out, x.dtype)
+        res = np.empty((n, co, ho, wo), dtype=x.dtype)
+        if bias is None:
+            res[...] = out.transpose(0, 3, 1, 2)
+        else:
+            np.add(out.transpose(0, 3, 1, 2), bias[:, None, None], out=res)
         ctx = {
             "cols_flat": cols_flat if needs_grad else None,
             "w_flat": w_flat,
             "shape": (n, co, ci, kh, kw, ho, wo),
-            "padded_shape": xp.shape,
+            "padded_shape": (n, ci, hp, wp),
             "stride": stride, "padding": padding, "dilation": dilation,
         }
-        return out, ctx
+        return res, ctx
 
     def conv2d_backward_input(self, ctx: Any, g: np.ndarray) -> np.ndarray:
         n, co, ci, kh, kw, ho, wo = ctx["shape"]

@@ -5,8 +5,14 @@ import threading
 import numpy as np
 import pytest
 
+from repro.attacks import detector_aware_attack
+from repro.attacks.gradients import margin_loss_and_grad
+from repro.defenses import JSDDetector, MagNet, ReconstructionDetector, Reformer
+from repro.models.autoencoders import build_autoencoder
+from repro.models.classifiers import ScaledLogits, build_digit_classifier
 from repro.nn import autograd as ag
 from repro.nn.autograd import Tensor, no_grad, unbroadcast
+from repro.nn.backend import KERNELS
 
 from tests.nn.gradcheck import check_gradient
 
@@ -343,3 +349,101 @@ class TestStructuralGradients:
         check_gradient(
             lambda t: ag.where(cond, t, Tensor(b, dtype=np.float64)),
             rng.standard_normal((3, 3)))
+
+
+_BINARY_OPS = [ag.add, ag.sub, ag.mul, ag.div, ag.maximum, ag.minimum,
+               lambda a, b: ag.where(np.array([True, False]), a, b)]
+
+
+class TestScalarDtype:
+    """A Python scalar takes the other operand's dtype (NumPy's NEP 50
+    rule); NumPy scalars and arrays promote as they do in NumPy."""
+
+    @pytest.mark.parametrize("op", _BINARY_OPS)
+    @pytest.mark.parametrize("scalar", [2.5, 3, True])
+    def test_float32_tensor_with_python_scalar_stays_float32(self, op,
+                                                            scalar):
+        t = Tensor(np.array([1.5, 4.0], dtype=np.float32), requires_grad=True)
+        for out in (op(t, scalar), op(scalar, t)):
+            assert out.dtype == np.float32
+            t.zero_grad()
+            out.backward(np.ones(2, dtype=np.float32))
+            assert t.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("op", _BINARY_OPS)
+    def test_float64_tensor_stays_float64(self, op):
+        t = Tensor(np.array([1.5, 4.0]), dtype=np.float64)
+        assert op(t, 2.5).dtype == op(2.5, t).dtype == np.float64
+
+    @pytest.mark.parametrize("op", _BINARY_OPS)
+    @pytest.mark.parametrize("other", [np.array(2.5), np.float64(2.5)],
+                             ids=["0d-array", "np-scalar"])
+    def test_numpy_float64_operand_promotes(self, op, other):
+        t = Tensor(np.array([1.5, 4.0], dtype=np.float32))
+        expected = (t.data * other).dtype
+        assert expected == np.float64
+        assert op(t, other).dtype == op(other, t).dtype == expected
+
+    def test_operators_follow_the_rule(self):
+        t = Tensor(np.ones(3, dtype=np.float32))
+        for out in (t + 1, 1 - t, t * 0.5, 2.0 / (t + 1), t / 3, t.mean()):
+            assert out.dtype == np.float32
+
+    def test_value_is_the_scalar_rounded_to_the_tensor_dtype(self):
+        x = np.array([0.1, 1e8, 3.3], dtype=np.float32)
+        np.testing.assert_array_equal((Tensor(x) * 0.1).data, x * 0.1)
+        np.testing.assert_array_equal((0.7 - Tensor(x)).data, 0.7 - x)
+
+
+def _digit_batch(n=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.random((n, 1, 28, 28), dtype=np.float32),
+            rng.integers(0, 10, n))
+
+
+@pytest.fixture
+def conv_grad_dtypes(monkeypatch):
+    """Record the gradient dtype reaching every numpy conv backward."""
+    kernel = KERNELS["numpy"]
+    seen = []
+    for name in ("conv2d_backward_input", "conv2d_backward_weight"):
+        def wrapped(ctx, g, _orig=getattr(kernel, name)):
+            seen.append(str(g.dtype))
+            return _orig(ctx, g)
+        monkeypatch.setattr(kernel, name, wrapped)
+    return seen
+
+
+class TestAttackGradientsStayFloat32:
+    """Attack objectives on float32 models keep every backward pass in
+    float32: a scaled-logit classifier or a detector penalty must not
+    send float64 gradients through the conv kernels."""
+
+    def test_scaled_logits_output_is_float32(self):
+        model = ScaledLogits(build_digit_classifier(seed=0), 6.0)
+        x, _ = _digit_batch()
+        assert model(Tensor(x)).dtype == np.float32
+
+    def test_margin_step_dispatches_no_float64_conv(self, conv_grad_dtypes):
+        model = ScaledLogits(build_digit_classifier(seed=0), 6.0)
+        x, y = _digit_batch()
+        _, grad, logits = margin_loss_and_grad(model, x, y, kappa=50.0)
+        assert conv_grad_dtypes and set(conv_grad_dtypes) == {"float32"}
+        assert grad.dtype == logits.dtype == np.float32
+
+    @pytest.mark.parametrize("family", ["ead", "cw"])
+    def test_detector_aware_step_dispatches_no_float64_conv(
+            self, family, conv_grad_dtypes):
+        clf = ScaledLogits(build_digit_classifier(seed=0), 6.0)
+        ae = build_autoencoder("digits", "deep", width=3, seed=0)
+        magnet = MagNet(clf, [ReconstructionDetector(ae, norm=1),
+                              JSDDetector(ae, clf, temperature=10.0)],
+                        Reformer(ae))
+        magnet.calibrate(_digit_batch(n=20, seed=1)[0], fpr_total=0.1)
+        attack = detector_aware_attack(magnet, family=family, kappa=50.0)
+        x, y = _digit_batch()
+        _, grad, _ = attack._attack_loss_and_grad(x, y)
+        # classifier (2 convs) and the AE convs of both detector graphs
+        assert len(conv_grad_dtypes) > 2
+        assert set(conv_grad_dtypes) == {"float32"}
+        assert grad.dtype == np.float32

@@ -86,6 +86,91 @@ class TestInterchangeability:
 
 
 # ----------------------------------------------------------------------
+# The numpy forward against its NCHW-gather reference, bit for bit
+# ----------------------------------------------------------------------
+
+def _reference_forward(x, weight, bias, stride, padding, dilation):
+    """The earlier numpy forward: ``np.pad``, a tap-by-tap NCHW im2col,
+    the same GEMM, ``+= bias`` in NHWC and one cast back to NCHW."""
+    co, ci, kh, kw = weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, _, h, w = xp.shape
+    ho = (h - (kh - 1) * dilation - 1) // stride + 1
+    wo = (w - (kw - 1) * dilation - 1) // stride + 1
+    cols = np.empty((n, ho, wo, ci, kh, kw), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[:, :, i * dilation:i * dilation + stride * ho:stride,
+                       j * dilation:j * dilation + stride * wo:stride]
+            cols[:, :, :, :, i, j] = patch.transpose(0, 2, 3, 1)
+    cols_flat = cols.reshape(n, ho, wo, ci * kh * kw)
+    w_flat = weight.reshape(co, ci * kh * kw)
+    out = cols_flat @ w_flat.T
+    if bias is not None:
+        out += bias
+    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2), dtype=x.dtype)
+    ctx = {"cols_flat": cols_flat, "w_flat": w_flat,
+           "shape": (n, co, ci, kh, kw, ho, wo), "padded_shape": xp.shape,
+           "stride": stride, "padding": padding, "dilation": dilation}
+    return out, ctx
+
+
+def _assert_matches_reference(x, weight, bias, stride, padding, dilation):
+    kernel = KERNELS["numpy"]
+    out, ctx = kernel.conv2d_forward(x, weight, bias, stride, padding,
+                                     dilation, needs_grad=True)
+    ref, ref_ctx = _reference_forward(x, weight, bias, stride, padding,
+                                      dilation)
+    assert out.dtype == ref.dtype and out.flags.c_contiguous
+    np.testing.assert_array_equal(out, ref)
+    g = np.random.default_rng(1).standard_normal(out.shape).astype(out.dtype)
+    np.testing.assert_array_equal(kernel.conv2d_backward_input(ctx, g),
+                                  kernel.conv2d_backward_input(ref_ctx, g))
+    np.testing.assert_array_equal(kernel.conv2d_backward_weight(ctx, g),
+                                  kernel.conv2d_backward_weight(ref_ctx, g))
+
+
+class TestNumpyForwardOracle:
+    """The channels-last gather builds the same column buffer and GEMM
+    operands as the NCHW reference, so everything downstream is bitwise
+    equal: the output and both backward results."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_bitwise_equal_to_reference(self, stride, padding, dilation,
+                                        with_bias, dtype):
+        rng = np.random.default_rng(stride * 100 + padding * 10 + dilation)
+        x = rng.standard_normal((2, 3, 9, 8)).astype(dtype)
+        w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype) if with_bias else None
+        _assert_matches_reference(x, w, b, stride, padding, dilation)
+
+    @pytest.mark.parametrize("x_shape, co, k, padding", [
+        ((6, 1, 28, 28), 16, 3, 1), ((6, 16, 14, 14), 32, 3, 1),
+        ((6, 3, 32, 32), 24, 3, 1), ((6, 24, 16, 16), 48, 3, 1),
+        ((6, 48, 8, 8), 64, 3, 1), ((64, 3, 32, 32), 3, 3, 1),
+        ((80, 48, 8, 8), 64, 3, 1),
+    ])
+    def test_table1_shapes(self, x_shape, co, k, padding):
+        rng = np.random.default_rng(sum(x_shape))
+        x = rng.random(x_shape, dtype=np.float32)
+        w = (rng.standard_normal((co, x_shape[1], k, k)) / 5).astype(
+            np.float32)
+        b = rng.standard_normal(co).astype(np.float32)
+        _assert_matches_reference(x, w, b, 1, padding, 1)
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((7, 5, 2, 3)).astype(np.float32)
+        x = x.transpose(2, 3, 0, 1)                  # (2, 3, 7, 5), strided
+        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        _assert_matches_reference(x, w, None, 1, 1, 1)
+
+
+# ----------------------------------------------------------------------
 # Edge handling
 # ----------------------------------------------------------------------
 

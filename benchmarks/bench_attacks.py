@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Benchmark the masked batch attack engine against the per-example path.
 
-Runs EAD and C&W-L2 over the same seed batch twice — ``batch_mode=
-"per_example"`` (the reference lane-at-a-time engine) and ``batch_mode=
-"batched"`` (the wide masked engine) — and reports wall time, model
-dispatch counts (via the ``attack/dispatches`` counter) and the
-resulting speedup.  Success masks must agree between the two engines;
+Runs EAD and C&W-L2 over the same seed batch twice — per example (the
+reference: each lane attacked alone as a batch of one, results stitched
+in order with ``concat_results``) and batched (one call on the whole
+batch, the wide masked engine) — and reports wall time, model dispatch
+counts (via the ``attack/dispatches`` counter) and the resulting
+speedup.  Success masks must agree between the two engines;
 the acceptance budget is a >=3x speedup on the EAD stage at batch >= 32.
 
 The wall-time speedup comes from two sources: amortising the
@@ -66,7 +67,19 @@ def _seed_batch(batch: int):
     return model, splits.test.x[idx], splits.test.y[idx]
 
 
-def _measure(make_attack, x0, y0, mode, repeats):
+def _per_example(attack, x0, y0):
+    """The reference: one ``attack()`` call per lane, stitched in order."""
+    from repro.attacks import concat_results
+
+    return concat_results([attack.attack(x0[i:i + 1], y0[i:i + 1])
+                           for i in range(len(x0))])
+
+
+def _batched(attack, x0, y0):
+    return attack.attack(x0, y0)
+
+
+def _measure(make_attack, x0, y0, run, repeats):
     """Best-of-``repeats`` engine run: wall time, dispatch delta, result.
 
     The minimum over repeats filters scheduler noise on busy CI boxes;
@@ -79,7 +92,7 @@ def _measure(make_attack, x0, y0, mode, repeats):
     for _ in range(repeats):
         before = dispatches.value
         t0 = time.perf_counter()
-        result = make_attack(mode).attack(x0, y0)
+        result = run(make_attack(), x0, y0)
         elapsed = time.perf_counter() - t0
         wall_s, delta = min(wall_s, elapsed), dispatches.value - before
     return wall_s, delta, result
@@ -90,12 +103,12 @@ def _bench_attack(name, make_attack, x0, y0, repeats) -> dict:
 
     print(f"[bench_attacks] {name}: per_example ...", flush=True)
     lane_s, lane_disp, lane_res = _measure(make_attack, x0, y0,
-                                           "per_example", repeats)
+                                           _per_example, repeats)
     print(f"[bench_attacks]   {lane_s:.2f}s, {lane_disp} dispatches",
           flush=True)
     print(f"[bench_attacks] {name}: batched ...", flush=True)
     wide_s, wide_disp, wide_res = _measure(make_attack, x0, y0,
-                                           "batched", repeats)
+                                           _batched, repeats)
     print(f"[bench_attacks]   {wide_s:.2f}s, {wide_disp} dispatches",
           flush=True)
 
@@ -132,13 +145,12 @@ def main(argv=None) -> int:
           f"budget={budget}", flush=True)
     model, x0, y0 = _seed_batch(args.batch)
 
-    def make_ead(mode):
-        return EAD(model, beta=1e-1, kappa=0.0, initial_const=1.0,
-                   batch_mode=mode, **budget)
+    def make_ead():
+        return EAD(model, beta=1e-1, kappa=0.0, initial_const=1.0, **budget)
 
-    def make_cw(mode):
+    def make_cw():
         return CarliniWagnerL2(model, kappa=0.0, initial_const=1.0, lr=5e-2,
-                               batch_mode=mode, **budget)
+                               **budget)
 
     cpus = os.cpu_count() or 1
     floor = SPEEDUP_FLOOR if cpus > 1 else SINGLE_CORE_FLOOR

@@ -31,10 +31,10 @@ def _sweep_once(jobs: int, cache_dir: Path, telemetry_path: Path) -> dict:
     """Train + craft the smoke grid into a fresh cache; return metrics."""
     from repro.experiments import SMOKE, ExperimentContext
     from repro.experiments import sweeps
-    from repro.runtime import configure_telemetry, load_events
+    from repro.obs import configure_observability, load_events
     from repro.utils.cache import DiskCache, stable_hash
 
-    configure_telemetry(telemetry_path)
+    configure_observability(telemetry_path)
     ctx = ExperimentContext("digits", profile=SMOKE,
                             cache=DiskCache(cache_dir), seed=0)
     t0 = time.perf_counter()
@@ -52,7 +52,7 @@ def _sweep_once(jobs: int, cache_dir: Path, telemetry_path: Path) -> dict:
         if duration is not None:
             stage = event["stage"]
             stage_totals[stage] = stage_totals.get(stage, 0.0) + duration
-    configure_telemetry(None)
+    configure_observability(None)
     return {
         "jobs": jobs,
         "wall_s": round(wall_s, 3),

@@ -100,8 +100,8 @@ def main(out_path: str = "EXPERIMENTS.md") -> None:
         "are bitwise-identical to `--jobs 1`. Each run appends per-stage",
         "telemetry (training, attack crafting, cache hits/misses) to",
         "`<cache-dir>/telemetry.jsonl`; the `timings` subcommand",
-        "aggregates it. `REPRO_PROFILE`/`REPRO_CACHE_DIR` env vars are",
-        "deprecated in favor of `--profile`/`--cache-dir`.",
+        "aggregates it. An omitted `--profile`/`--cache-dir` falls back to",
+        "`$REPRO_PROFILE`/`$REPRO_CACHE_DIR`, then `quick`/`.repro_cache`.",
         "",
         "Sweeps are fault-tolerant and checkpointed: failing cells are",
         "retried with exponential backoff (`--retries`, per-cell",

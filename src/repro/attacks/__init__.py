@@ -4,8 +4,8 @@ Every attack follows one batch-first contract — ``attack(x0, labels) ->
 AttackResult`` is batch-in/batch-out, constructor knobs are keyword-only
 after ``model``, and empty batches short-circuit without touching the
 model.  The optimization attacks (EAD, C&W) run on the masked batch
-engine in :mod:`repro.attacks.batch`; single-example calls go through
-the deprecated :meth:`Attack.attack_one` shim.
+engine in :mod:`repro.attacks.batch`; a single example is a batch of
+one.
 """
 
 from repro.attacks.adaptive import (
@@ -24,12 +24,7 @@ from repro.attacks.base import (
     concat_results,
     flat_norms,
 )
-from repro.attacks.batch import (
-    BATCH_MODES,
-    BatchLoopMixin,
-    MaskedLanes,
-    resolve_batch_mode,
-)
+from repro.attacks.batch import BatchLoopMixin, MaskedLanes
 from repro.attacks.carlini_wagner import CarliniWagnerL2
 from repro.attacks.deepfool import DeepFool
 from repro.attacks.ead import DECISION_RULES, EAD, shrink_threshold
@@ -53,7 +48,6 @@ __all__ = [
     "Attack",
     "AttackResult",
     "AveragedModel",
-    "BATCH_MODES",
     "BPDAReformedModel",
     "BatchLoopMixin",
     "CarliniWagnerL2",
@@ -87,6 +81,5 @@ __all__ = [
     "logits_of",
     "margin_loss_and_grad",
     "margin_only",
-    "resolve_batch_mode",
     "shrink_threshold",
 ]

@@ -5,14 +5,12 @@ contract: :meth:`Attack.attack` takes a batch of NCHW inputs plus a
 label vector and returns a batched :class:`AttackResult`.  The base
 class owns validation, dtype normalization and the ``N=0`` fast path;
 concrete attacks implement :meth:`Attack._run` on the already-prepared
-batch.  Single-example calls go through the deprecated
-:meth:`Attack.attack_one` shim.
+batch.  A single example is a batch of one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -144,8 +142,9 @@ def concat_results(parts: Sequence[AttackResult],
     """Stitch per-lane (or per-shard) results back into one batch.
 
     Optional fields (``const``, the diagnostics) survive only when
-    present on *every* part.  Used by the ``per_example`` engine mode to
-    reassemble lane-at-a-time runs in original order.
+    present on *every* part.  The per-example reference the batched
+    engine is tested against uses it to reassemble lane-at-a-time runs
+    in original order.
     """
     if not parts:
         raise ValueError("concat_results needs at least one part")
@@ -194,23 +193,6 @@ class Attack:
     def _run(self, x0: np.ndarray, labels: np.ndarray) -> AttackResult:
         """Attack body on a validated, non-empty float32/int64 batch."""
         raise NotImplementedError  # pragma: no cover
-
-    def attack_one(self, x0: np.ndarray, label: int) -> AttackResult:
-        """Deprecated single-example shim over the batch-first API.
-
-        .. deprecated::
-            Stack examples and call :meth:`attack` instead; per-example
-            dispatch forfeits the batched engine's vectorization.
-        """
-        warnings.warn(
-            f"{type(self).__name__}.attack_one() is deprecated; the attack "
-            "API is batch-first — stack inputs and call attack() instead",
-            DeprecationWarning, stacklevel=2)
-        x0 = np.asarray(x0, dtype=np.float32)
-        if x0.ndim == 3:
-            x0 = x0[None]
-        labels = np.asarray([label], dtype=np.int64).reshape(1)
-        return self.attack(x0, labels)
 
     # ------------------------------------------------------------------
     def _prepare(self, x0: np.ndarray, labels: np.ndarray):

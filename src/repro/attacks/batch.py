@@ -15,14 +15,10 @@ loop-over-wide-arrays structure follows drjit's symbolic loops: Python
 controls iteration count, numpy does one wide dispatch per step
 regardless of batch size.
 
-Two engine modes exist behind the same API (``batch_mode=``):
-
-* ``"batched"`` (default) — the wide engine above;
-* ``"per_example"`` — the reference path: each lane runs alone as a
-  batch of one.  It exists as the equivalence baseline (see
-  ``tests/attacks/test_batch_equivalence.py``) and for bisecting; it is
-  typically several times slower and emits a :class:`DeprecationWarning`
-  hint when selected implicitly via deprecated shims.
+Lanes are independent, so running each example alone as a batch of one
+and stitching the results gives the same answer up to BLAS reduction
+order; the tests and ``benchmarks/bench_attacks.py`` use that lane loop
+as the reference the wide engine is checked against.
 """
 
 from __future__ import annotations
@@ -32,18 +28,6 @@ from typing import Tuple, Union
 import numpy as np
 
 from repro.attacks.gradients import margin_loss_and_grad, margin_only
-
-#: Engine modes accepted by the optimization attacks' ``batch_mode=``.
-BATCH_MODES = ("batched", "per_example")
-
-
-def resolve_batch_mode(batch_mode: str) -> str:
-    """Validate a ``batch_mode`` knob value."""
-    if batch_mode not in BATCH_MODES:
-        raise ValueError(
-            f"batch_mode must be one of {BATCH_MODES}, got {batch_mode!r}")
-    return batch_mode
-
 
 class MaskedLanes:
     """Wide-array lane bookkeeping for one masked optimize loop.
@@ -117,30 +101,16 @@ class MaskedLanes:
 
 
 class BatchLoopMixin:
-    """Shared plumbing for attacks built on the masked batch engine.
+    """Attack-objective hooks shared by the masked batch engine's attacks.
 
-    Adds the ``batch_mode`` knob plus the per-example fan-out used as
-    the reference path.  Mixing classes must implement their batched
-    body; :meth:`_lanewise` slices a prepared batch into single-lane
-    batches and returns the per-lane outputs in order for stitching
-    (see :func:`repro.attacks.base.concat_results`).
+    The optimize loops never call the margin helpers directly; they go
+    through these two hooks so adaptive variants (e.g. the
+    detector-aware attacks in :mod:`repro.attacks.adaptive`) can fold
+    extra differentiable terms into the objective — and into the
+    success test — without re-implementing the masked engine.  Both
+    assume the mixing class carries ``model`` / ``kappa`` /
+    ``targeted``, which every optimization attack does.
     """
-
-    batch_mode: str = "batched"
-
-    def _set_batch_mode(self, batch_mode: str) -> None:
-        self.batch_mode = resolve_batch_mode(batch_mode)
-
-    # ------------------------------------------------------------------
-    # Attack-objective hooks
-    # ------------------------------------------------------------------
-    # The optimize loops never call the margin helpers directly; they go
-    # through these two hooks so adaptive variants (e.g. the
-    # detector-aware attacks in :mod:`repro.attacks.adaptive`) can fold
-    # extra differentiable terms into the objective — and into the
-    # success test — without re-implementing the masked engine.  Both
-    # assume the mixing class carries ``model`` / ``kappa`` /
-    # ``targeted``, which every optimization attack does.
 
     def _attack_loss_and_grad(self, x: np.ndarray, labels: np.ndarray
                               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,19 +127,3 @@ class BatchLoopMixin:
                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Loss values only, no graph (per-iterate success tests; hook)."""
         return margin_only(self.model, x, labels, self.kappa, self.targeted)
-
-    @property
-    def _use_lanewise(self) -> bool:
-        """Whether the per-example reference engine should run.
-
-        Single-lane batches short-circuit to the batched engine — the
-        two are identical at ``N=1``, so the fan-out/stitch overhead is
-        skipped (the single-example fast path).
-        """
-        return self.batch_mode == "per_example"
-
-    @staticmethod
-    def _lanewise(x0: np.ndarray, labels: np.ndarray, run_one):
-        """Run ``run_one(x_lane, label_lane)`` per lane, in order."""
-        return [run_one(x0[i:i + 1], labels[i:i + 1])
-                for i in range(x0.shape[0])]

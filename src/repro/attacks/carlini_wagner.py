@@ -17,15 +17,14 @@ the binary-search bracket is carried in wide per-lane arrays, and
 ``abort_early`` is a **per-lane** plateau test — a stalled lane freezes
 in place (bit-stable) and drops out of the model dispatch while the
 rest keep iterating.  This matches the semantics of running each
-example alone (the historical batch-mean abort coupled lanes together);
-``batch_mode="per_example"`` selects that reference engine explicitly.
+example alone (the historical batch-mean abort coupled lanes together).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackResult, concat_results
+from repro.attacks.base import Attack, AttackResult
 from repro.attacks.batch import BatchLoopMixin, MaskedLanes
 from repro.nn.layers import Module
 from repro.obs import counter, histogram, span
@@ -51,7 +50,7 @@ class CarliniWagnerL2(BatchLoopMixin, Attack):
                  binary_search_steps: int = 9, max_iterations: int = 1000,
                  lr: float = 1e-2, initial_const: float = 1e-3,
                  const_upper: float = 1e10, abort_early: bool = True,
-                 targeted: bool = False, batch_mode: str = "batched"):
+                 targeted: bool = False):
         super().__init__(model)
         if kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {kappa}")
@@ -65,7 +64,6 @@ class CarliniWagnerL2(BatchLoopMixin, Attack):
         self.const_upper = float(const_upper)
         self.abort_early = bool(abort_early)
         self.targeted = bool(targeted)
-        self._set_batch_mode(batch_mode)
 
     @classmethod
     def from_profile(cls, model: Module, profile, **overrides) -> "CarliniWagnerL2":
@@ -74,8 +72,7 @@ class CarliniWagnerL2(BatchLoopMixin, Attack):
         Maps ``max_iterations`` / ``binary_search_steps`` /
         ``initial_const`` / ``cw_lr`` from an
         :class:`~repro.experiments.config.ExperimentProfile`; keyword
-        ``overrides`` (typically ``kappa=``, ``batch_mode=``) win over
-        profile fields.
+        ``overrides`` (typically ``kappa=``) win over profile fields.
         """
         params = dict(
             binary_search_steps=profile.binary_search_steps,
@@ -90,18 +87,12 @@ class CarliniWagnerL2(BatchLoopMixin, Attack):
         return f"cw_l2(kappa={self.kappa:g})"
 
     def _run(self, x0: np.ndarray, labels: np.ndarray) -> AttackResult:
-        """Craft adversarial examples for a prepared batch.
+        """Craft adversarial examples for a prepared batch with the wide
+        engine: one numpy dispatch per iteration for all lanes.
 
         ``labels`` are true labels when untargeted, target labels when
         targeted.
         """
-        if self._use_lanewise and x0.shape[0] > 1:
-            parts = self._lanewise(x0, labels, self._run_batched)
-            return concat_results(parts, name=self._result_name())
-        return self._run_batched(x0, labels)
-
-    def _run_batched(self, x0: np.ndarray, labels: np.ndarray) -> AttackResult:
-        """The wide engine: one numpy dispatch per iteration for all lanes."""
         n = x0.shape[0]
 
         # tanh-space anchor of the clean images.
@@ -121,8 +112,8 @@ class CarliniWagnerL2(BatchLoopMixin, Attack):
         dispatches = 0
         iters = counter("attack/iterations")
 
-        with span(f"attack/{self.name}", batch=n, kappa=self.kappa,
-                  mode=self.batch_mode) as attack_sp:
+        with span(f"attack/{self.name}", batch=n,
+                  kappa=self.kappa) as attack_sp:
             for step in range(self.binary_search_steps):
                 with span("attack/binary_search_step", step=step) as step_sp:
                     lanes, step_success = self._optimize_step(

@@ -25,8 +25,7 @@ The optimize loop runs on the masked batch engine
 (:mod:`repro.attacks.batch`): all lanes advance per numpy dispatch, the
 per-example binary-search bracket lives in wide arrays, and with
 ``abort_early=True`` lanes whose elastic-net objective plateaus freeze
-in place and drop out of the model dispatch.  ``batch_mode=
-"per_example"`` selects the lane-at-a-time reference engine instead.
+in place and drop out of the model dispatch.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackResult, concat_results
+from repro.attacks.base import Attack, AttackResult
 from repro.attacks.batch import BatchLoopMixin, MaskedLanes
 from repro.nn.backend import flush_kernel_events
 from repro.nn.layers import Module
@@ -76,7 +75,7 @@ class EAD(BatchLoopMixin, Attack):
                  lr: float = 1e-2, initial_const: float = 1e-3,
                  const_upper: float = 1e10, rule: str = "en",
                  method: str = "fista", targeted: bool = False,
-                 abort_early: bool = False, batch_mode: str = "batched"):
+                 abort_early: bool = False):
         super().__init__(model)
         if beta < 0:
             raise ValueError(f"beta must be >= 0, got {beta}")
@@ -97,7 +96,6 @@ class EAD(BatchLoopMixin, Attack):
         self.method = method
         self.targeted = bool(targeted)
         self.abort_early = bool(abort_early)
-        self._set_batch_mode(batch_mode)
 
     @classmethod
     def from_profile(cls, model: Module, profile, **overrides) -> "EAD":
@@ -106,8 +104,8 @@ class EAD(BatchLoopMixin, Attack):
         Maps ``max_iterations`` / ``binary_search_steps`` /
         ``initial_const`` / ``ead_lr`` from an
         :class:`~repro.experiments.config.ExperimentProfile`; keyword
-        ``overrides`` (typically ``beta=``, ``kappa=``,
-        ``batch_mode=``) win over profile fields.
+        ``overrides`` (typically ``beta=``, ``kappa=``) win over profile
+        fields.
         """
         params = dict(
             binary_search_steps=profile.binary_search_steps,
@@ -146,19 +144,8 @@ class EAD(BatchLoopMixin, Attack):
 
     def _attack_both_prepared(self, x0: np.ndarray, labels: np.ndarray
                               ) -> Dict[str, AttackResult]:
-        """Dispatch a prepared, non-empty batch to the selected engine."""
-        if self._use_lanewise and x0.shape[0] > 1:
-            parts = self._lanewise(x0, labels, self._attack_both_batched)
-            return {
-                rule: concat_results([part[rule] for part in parts],
-                                     name=self._result_name(rule))
-                for rule in DECISION_RULES
-            }
-        return self._attack_both_batched(x0, labels)
-
-    def _attack_both_batched(self, x0: np.ndarray, labels: np.ndarray
-                             ) -> Dict[str, AttackResult]:
-        """The wide engine: one numpy dispatch per iteration for all lanes."""
+        """The wide engine on a prepared, non-empty batch: one numpy
+        dispatch per iteration for all lanes."""
         n = x0.shape[0]
 
         # Per-lane binary-search bracket, carried as wide arrays.
@@ -181,7 +168,7 @@ class EAD(BatchLoopMixin, Attack):
         iters = counter("attack/iterations")
 
         with span(f"attack/{self.name}", batch=n, beta=self.beta,
-                  kappa=self.kappa, mode=self.batch_mode) as attack_sp:
+                  kappa=self.kappa) as attack_sp:
             for step in range(self.binary_search_steps):
                 with span("attack/binary_search_step", step=step) as step_sp:
                     lanes, step_success = self._optimize_step(

@@ -44,9 +44,7 @@ checkpointed: ``--resume`` continues an interrupted run from its
 checkpoint manifest (recomputing only missing or corrupt cells),
 ``--timeout``/``--retries`` tune the per-cell watchdog and retry budget,
 and ``--inject-faults "seed=1,crash=0.05,timeout=0.02,transient=0.1"``
-runs deterministic chaos against the runtime itself.  The bare form
-``python -m repro.experiments table1`` still works as an alias for
-``run table1``.
+runs deterministic chaos against the runtime itself.
 
 ``run`` and ``scenarios run`` also expose the storage layer
 (``repro.runtime.store``): ``--store-shards N`` sets the shard fan-out
@@ -62,9 +60,10 @@ trains and runs on its ``nn_backend`` — ``numpy`` for smoke/quick,
 tolerance-equivalent to ``numpy``, so its models and attacks get their
 own cache entries.
 
-The ``REPRO_PROFILE`` / ``REPRO_CACHE_DIR`` environment variables remain
-supported as fallbacks for scripts that predate these flags, but are
-deprecated — prefer the explicit flags.
+An omitted ``--profile`` or ``--cache-dir`` takes the library default:
+``$REPRO_PROFILE`` (else ``quick``) and ``$REPRO_CACHE_DIR`` (else
+``.repro_cache``), read by :func:`repro.experiments.config.current_profile`
+and :class:`repro.utils.cache.DiskCache`.
 """
 
 from __future__ import annotations
@@ -73,10 +72,9 @@ import argparse
 import os
 import sys
 import time
-import warnings
-from typing import List, Optional
+from typing import List, Optional, Union
 
-from repro.experiments.config import PROFILES
+from repro.experiments.config import PROFILES, current_profile
 from repro.experiments.registry import (
     EXPERIMENT_IDS,
     describe_experiments,
@@ -94,21 +92,7 @@ from repro.utils.logging import get_logger
 
 log = get_logger(__name__)
 
-_COMMANDS = ("run", "list", "timings", "trace", "serve", "scenarios")
-
 _DEFAULT_TELEMETRY_NAME = "telemetry.jsonl"
-
-
-def _deprecated_env(var: str, flag: str) -> Optional[str]:
-    """Read a legacy env var, warning that the flag replaces it."""
-    value = os.environ.get(var)
-    if value:
-        warnings.warn(
-            f"{var} is deprecated; pass {flag} to "
-            "`python -m repro.experiments` instead",
-            DeprecationWarning, stacklevel=3)
-        log.warning("%s is deprecated — use %s", var, flag)
-    return value
 
 
 def _jobs_arg(value: str) -> int:
@@ -175,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiments", nargs="+", metavar="EXPERIMENT",
                      help=f"experiment ids or 'all'; ids: {', '.join(EXPERIMENT_IDS)}")
     run.add_argument("--profile", choices=sorted(PROFILES),
-                     help="scale profile (default: quick, or deprecated "
-                          "$REPRO_PROFILE)")
+                     help="scale profile (default: $REPRO_PROFILE, else "
+                          "quick)")
     run.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
                      help="worker processes for attack sweeps "
                           "(1 = serial, 0 = one per core, negative "
@@ -199,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "'seed=1,crash=0.05,timeout=0.02,transient=0.1"
                           ",corrupt=0.05,hang=120' (rates per sweep cell)")
     run.add_argument("--cache-dir", metavar="DIR",
-                     help="artifact cache root (default: .repro_cache, or "
-                          "deprecated $REPRO_CACHE_DIR)")
+                     help="artifact cache root (default: $REPRO_CACHE_DIR, "
+                          "else .repro_cache)")
     run.add_argument("--seed", type=int, default=0,
                      help="root experiment seed (default 0)")
     run.add_argument("--telemetry", metavar="PATH",
@@ -358,22 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_cache_dir(flag_value: Optional[str]) -> str:
-    if flag_value:
-        return flag_value
-    return _deprecated_env("REPRO_CACHE_DIR", "--cache-dir") or ".repro_cache"
-
-
 def _resolve_profile(flag_value: Optional[str]):
-    name = flag_value or _deprecated_env("REPRO_PROFILE", "--profile") or "quick"
-    name = name.lower()
+    """``--profile``, else the library default (:func:`current_profile`)."""
+    if not flag_value:
+        return current_profile()
+    name = flag_value.lower()
     if name not in PROFILES:
         raise KeyError(
             f"unknown profile {name!r}; available: {sorted(PROFILES)}")
     return PROFILES[name]
 
 
-def _telemetry_path(flag_value: Optional[str], cache_dir: str) -> Optional[str]:
+def _telemetry_path(flag_value: Optional[str],
+                    cache_dir: Union[str, os.PathLike]) -> Optional[str]:
     if flag_value == "off":
         return None
     if flag_value:
@@ -386,7 +367,6 @@ def _telemetry_path(flag_value: Optional[str], cache_dir: str) -> Optional[str]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args.profile)
-    cache_dir = _resolve_cache_dir(args.cache_dir)
 
     exp_ids: List[str] = []
     for target in args.experiments:
@@ -413,9 +393,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.inject_faults is not None:
         log.warning("chaos mode enabled: %s", args.inject_faults.describe())
 
-    cache = DiskCache(cache_dir, shards=args.store_shards,
+    cache = DiskCache(args.cache_dir, shards=args.store_shards,
                       max_bytes=args.store_max_bytes)
-    configure_observability(_telemetry_path(args.telemetry, cache_dir))
+    configure_observability(_telemetry_path(args.telemetry, cache.root))
     for exp_id in exp_ids:
         report = run_experiment(exp_id, profile=profile, cache=cache,
                                 seed=args.seed, jobs=args.jobs,
@@ -439,8 +419,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     profile = _resolve_profile(args.profile)
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    configure_observability(_telemetry_path(args.telemetry, cache_dir))
+    cache = DiskCache(args.cache_dir)
+    configure_observability(_telemetry_path(args.telemetry, cache.root))
 
     variants = [v.strip() for v in (args.models or args.variant).split(",")
                 if v.strip()]
@@ -449,8 +429,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     # Warm the cache first so every builder loads (never re-trains)
     # bitwise-identical weights, in this process or in each worker.
-    ctx = ExperimentContext(args.dataset, profile=profile,
-                            cache=DiskCache(cache_dir), seed=args.seed)
+    ctx = ExperimentContext(args.dataset, profile=profile, cache=cache,
+                            seed=args.seed)
     input_shape = tuple(ctx.splits.test.x.shape[1:])
     tenant_config = ServingConfig(max_batch=args.max_batch,
                                   max_wait_ms=args.max_wait_ms,
@@ -467,7 +447,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             builder_kwargs={"dataset": args.dataset, "variant": variant,
                             "ae_loss": args.ae_loss,
                             "profile": profile.name,
-                            "cache_dir": str(cache_dir),
+                            "cache_dir": str(cache.root),
                             "seed": args.seed},
             input_shape=input_shape, config=tenant_config))
 
@@ -502,8 +482,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    path = _telemetry_path(args.telemetry, cache_dir)
+    path = _telemetry_path(args.telemetry, DiskCache(args.cache_dir).root)
     events = load_events(path) if path else []
     if not events:
         print(f"no telemetry events found at {path}")
@@ -565,8 +544,9 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
         return 1
 
     profile = _resolve_profile(args.profile)
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    configure_observability(_telemetry_path(args.telemetry, cache_dir))
+    cache = DiskCache(args.cache_dir, shards=args.store_shards,
+                      max_bytes=args.store_max_bytes)
+    configure_observability(_telemetry_path(args.telemetry, cache.root))
 
     policy = None
     if args.timeout is not None or args.retries is not None:
@@ -576,8 +556,6 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
                      else args.retries),
             backoff_s=SCENARIO_RETRY_POLICY.backoff_s)
 
-    cache = DiskCache(cache_dir, shards=args.store_shards,
-                      max_bytes=args.store_max_bytes)
     cells = registry.expand(args.seed, scenarios=selected)
     contexts = {
         dataset: ExperimentContext(dataset, profile=profile, cache=cache,
@@ -618,8 +596,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_timings(args: argparse.Namespace) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    path = _telemetry_path(args.telemetry, cache_dir)
+    path = _telemetry_path(args.telemetry, DiskCache(args.cache_dir).root)
     events = load_events(path) if path else []
     if not events:
         print(f"no telemetry events found at {path}")
@@ -636,9 +613,6 @@ def main(argv=None) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
         return 0
-    # Legacy alias: `python -m repro.experiments table1` == `run table1`.
-    if argv[0] not in _COMMANDS and not argv[0].startswith("-"):
-        argv = ["run"] + argv
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)

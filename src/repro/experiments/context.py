@@ -15,7 +15,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.attacks.base import AttackResult
-from repro.attacks.batch import resolve_batch_mode
 from repro.attacks.carlini_wagner import CarliniWagnerL2
 from repro.attacks.deepfool import DeepFool
 from repro.attacks.ead import DECISION_RULES, EAD
@@ -80,20 +79,13 @@ class ExperimentContext:
 
     def __init__(self, dataset: str, profile: Optional[ExperimentProfile] = None,
                  cache: Optional[DiskCache] = None, seed: int = 0, *,
-                 jobs: int = 1, retry_policy=None, fault_plan=None,
-                 batch_mode: str = "batched"):
+                 jobs: int = 1, retry_policy=None, fault_plan=None):
         if dataset not in ("digits", "objects"):
             raise KeyError(f"dataset must be 'digits' or 'objects', got {dataset!r}")
         self.dataset = dataset
         self.profile = profile or current_profile()
         self.cache = cache if cache is not None else default_cache()
         self.seed = int(seed)
-        #: Engine mode handed to the optimization attacks
-        #: (:data:`repro.attacks.batch.BATCH_MODES`).  Like ``jobs``, an
-        #: execution hint: ``per_example`` is the slow reference engine
-        #: and produces equivalent results, so it is not part of the
-        #: attack cache key.
-        self.batch_mode = resolve_batch_mode(batch_mode)
         #: Worker processes the sweep helpers may fan attack cells out to
         #: (1 = serial).  An execution hint only: results are identical
         #: for any value.
@@ -227,8 +219,7 @@ class ExperimentContext:
         def run():
             x0, y0 = self.attack_seeds()
             attack = CarliniWagnerL2.from_profile(
-                self.classifier, self.profile, kappa=kappa,
-                batch_mode=self.batch_mode)
+                self.classifier, self.profile, kappa=kappa)
             return attack.attack(x0, y0)
 
         return self._cached_attack(self._cw_spec(kappa),
@@ -261,8 +252,7 @@ class ExperimentContext:
                          beta, kappa, self.dataset, self.profile.name)
                 x0, y0 = self.attack_seeds()
                 attack = EAD.from_profile(self.classifier, self.profile,
-                                          beta=beta, kappa=kappa,
-                                          batch_mode=self.batch_mode)
+                                          beta=beta, kappa=kappa)
                 both = attack.attack_both(x0, y0)
                 for rule in DECISION_RULES:
                     spec = self._ead_spec(beta, kappa, rule)

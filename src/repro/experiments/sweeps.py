@@ -176,21 +176,19 @@ def _craft_cell(payload) -> Dict[str, Dict]:
 
     Each cell is one *batched* attack run — the whole seed batch
     advances through the masked batch engine in a single dispatch
-    stream per iteration (``batch_mode`` selects the engine; the
-    ``per_example`` reference mode exists for equivalence checks).
+    stream per iteration.
     Returns ``{slot: arrays}`` (slot ``"cw"`` or a decision rule) so the
     parent can publish under the context's cache keys; workers never
     touch the cache directly, which keeps cache-write ordering with the
     parent deterministic.
     """
-    classifier, profile, x0, y0, cell, batch_mode = payload
+    classifier, profile, x0, y0, cell = payload
     if cell["attack"] == "cw":
         attack = CarliniWagnerL2.from_profile(classifier, profile,
-                                              kappa=cell["kappa"],
-                                              batch_mode=batch_mode)
+                                              kappa=cell["kappa"])
         return {"cw": _result_to_arrays(attack.attack(x0, y0))}
     attack = EAD.from_profile(classifier, profile, beta=cell["beta"],
-                              kappa=cell["kappa"], batch_mode=batch_mode)
+                              kappa=cell["kappa"])
     both = attack.attack_both(x0, y0)
     return {rule: _result_to_arrays(both[rule]) for rule in DECISION_RULES}
 
@@ -266,13 +264,11 @@ def precompute_attacks(ctx: ExperimentContext, *,
         # worker-local state).
         classifier = ctx.classifier
         x0, y0 = ctx.attack_seeds()
-        batch_mode = getattr(ctx, "batch_mode", "batched")
         if fault_plan is not None:
             log.warning("sweep chaos mode: %s", fault_plan.describe())
-        log.info("precomputing %d attack cells on %s with %d workers "
-                 "(%s engine)", len(todo), ctx.dataset, jobs, batch_mode)
-        payloads = [(classifier, ctx.profile, x0, y0, cell, batch_mode)
-                    for cell in todo]
+        log.info("precomputing %d attack cells on %s with %d workers",
+                 len(todo), ctx.dataset, jobs)
+        payloads = [(classifier, ctx.profile, x0, y0, cell) for cell in todo]
 
         pinned: List[str] = []
 
@@ -330,7 +326,7 @@ def precompute_attacks(ctx: ExperimentContext, *,
             for cell in missing_cells(ctx, suspect, verify=True):
                 log.warning("healing unreadable cell %s", _cell_id(cell))
                 arrays_by_slot = _craft_cell(
-                    (classifier, ctx.profile, x0, y0, cell, batch_mode))
+                    (classifier, ctx.profile, x0, y0, cell))
                 keys = _cell_keys(ctx, cell)
                 for slot, arrays in arrays_by_slot.items():
                     ctx.cache.save("attacks", keys[slot], arrays,

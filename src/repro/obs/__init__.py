@@ -23,8 +23,7 @@ fault-tolerant parallel runtime, and the online serving frontend — and
 
 Everything is disabled-by-default and near-free when disabled: enable
 it with :func:`configure_observability` (or ``--telemetry`` on the
-CLI).  The legacy string-keyed API in :mod:`repro.runtime.telemetry`
-(``telemetry().emit(...)``) is a deprecated shim over this package.
+CLI).
 """
 
 from repro.obs.metrics import (

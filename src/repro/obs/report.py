@@ -4,8 +4,7 @@ Two views over the same JSONL file:
 
 * the flat per-stage aggregation (:func:`aggregate_events` /
   :func:`render_timings`) — every record has a ``stage`` name and an
-  optional duration, whether it came from the legacy ``emit`` API or
-  from a closed span;
+  optional duration, whether it is a point event or a closed span;
 * the hierarchical trace (:func:`build_span_tree` / :func:`render_trace`)
   — records carrying ``span`` ids are reassembled into parent/child
   trees spanning driver and worker processes.

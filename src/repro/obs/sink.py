@@ -1,4 +1,4 @@
-"""The JSONL event sink shared by tracing, metrics and legacy telemetry.
+"""The JSONL event sink shared by tracing and metrics.
 
 One process-wide sink owns the append-only event file.  Every
 observability record — a closed span, a point event, a metrics snapshot
@@ -63,8 +63,8 @@ def base_record(name: str, duration_s: Optional[float] = None,
                 **fields: Any) -> Dict[str, Any]:
     """The common record shape: timestamp, stage name, worker pid.
 
-    ``stage`` is kept as the name key so span records remain readable by
-    the legacy per-stage aggregation (``load_events``/``render_timings``).
+    ``stage`` is the name key, so span records are readable by the flat
+    per-stage aggregation (``load_events``/``render_timings``).
     ``None``-valued fields are dropped.
     """
     record: Dict[str, Any] = {

@@ -218,8 +218,7 @@ def event(name: str, duration_s: Optional[float] = None, *,
 
     The record carries the current trace id and the current span id as
     its ``parent``, so events interleave into the span tree; with no
-    open span it is a bare flat event, exactly like the legacy
-    ``telemetry().emit``.
+    open span it is a bare flat event.
     """
     sink = sink if sink is not None else active_sink()
     if not sink.enabled:

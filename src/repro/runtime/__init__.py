@@ -1,4 +1,4 @@
-"""Parallel experiment runtime: fault-tolerant process-pool execution + telemetry.
+"""Parallel experiment runtime: fault-tolerant process-pool execution.
 
 The experiment pipeline — train classifier, train MagNet autoencoders,
 craft C&W/EAD sweeps over (kappa, beta), score the oblivious defense —
@@ -22,17 +22,12 @@ shared machinery:
 * :class:`ShardedStore` — the content-addressed, sharded artifact store
   behind :class:`repro.utils.cache.DiskCache`: blobs at
   ``shards/<shard>/<hash>.npz``, cross-cell dedup, size-bounded LRU
-  eviction with checkpoint pinning, corrupt-blob quarantine, a
-  per-shard resumable integrity scrub, and transparent migration of
-  flat-layout caches.
-* :class:`RunTelemetry` / :func:`telemetry` — the *deprecated*
-  string-keyed telemetry API, now a shim over :mod:`repro.obs` (spans,
-  metrics, profiling).  New code should use
-  :func:`repro.obs.configure_observability` + :func:`repro.obs.span` /
-  :func:`repro.obs.event`; the executor propagates the driver's trace
-  context into workers automatically, so worker spans nest under the
-  driver's ``runtime/map`` span.  The read side (``load_events`` and
-  friends) lives in :mod:`repro.obs.report` and is re-exported here.
+  eviction with checkpoint pinning, corrupt-blob quarantine, and a
+  per-shard resumable integrity scrub.
+
+Telemetry lives in :mod:`repro.obs`: the executor propagates the
+driver's trace context into workers, so worker spans nest under the
+driver's ``runtime/map`` span.
 """
 
 from repro.runtime.executor import (
@@ -56,15 +51,6 @@ from repro.runtime.faults import (
     RetryPolicy,
     corrupt_cache_entry,
 )
-from repro.runtime.telemetry import (
-    RunTelemetry,
-    aggregate_events,
-    configure_telemetry,
-    load_events,
-    render_fault_summary,
-    render_timings,
-    telemetry,
-)
 
 __all__ = [
     "CacheStats",
@@ -76,17 +62,10 @@ __all__ = [
     "MAX_JOBS",
     "ParallelExecutor",
     "RetryPolicy",
-    "RunTelemetry",
     "ShardedStore",
     "StoreEntry",
-    "aggregate_events",
-    "configure_telemetry",
     "content_hash",
     "corrupt_cache_entry",
-    "load_events",
     "parallel_map",
-    "render_fault_summary",
-    "render_timings",
     "resolve_jobs",
-    "telemetry",
 ]

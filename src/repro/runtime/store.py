@@ -27,18 +27,15 @@ module is the storage engine behind :class:`repro.utils.cache.DiskCache`
   checkpoints its progress in an atomically-rewritten scrub manifest
   (the PR 2 self-heal/checkpoint pattern), so an interrupted scrub
   resumes from the last clean shard.
-* **Transparent migration** — a flat-layout cache directory
-  (``<root>/<namespace>/<key>.npz`` from PR 1–7) is read through and
-  upgraded in place on first access; unreadable legacy files are
-  discarded exactly like corrupt shard blobs.
 
-Self-healing mirrors the flat cache's contract: any unreadable entry or
-blob surfaces as a miss (``KeyError``), is quarantined or discarded, and
-the artifact is recomputed — never poisoning the run.
+Self-healing: any unreadable entry or blob surfaces as a miss
+(``KeyError``), is quarantined or discarded, and the artifact is
+recomputed — never poisoning the run.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -79,12 +76,10 @@ class CacheStats:
     stale_discards: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    # Sharded-backend extras (all zero on the flat backend).
     dedup_hits: int = 0
     evictions: int = 0
     bytes_reclaimed: int = 0
     quarantined: int = 0
-    migrated: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -207,9 +202,7 @@ class ShardedStore:
     Args:
         root: store root; blobs live under ``root/shards``, entry
             documents under ``root/manifest``, quarantined corrupt blobs
-            under ``root/quarantine``.  Legacy flat-layout artifacts
-            (``root/<namespace>/<key>.npz``) are read through and
-            migrated on access.
+            under ``root/quarantine``.
         shards: fan-out of the shard directories (default 256).
         max_bytes: stored-byte cap enforced by LRU eviction after every
             put (None = unbounded).
@@ -233,7 +226,6 @@ class ShardedStore:
         self._evicted = counter("store/evictions")
         self._reclaimed = counter("store/bytes_reclaimed")
         self._quarantined = counter("store/quarantined")
-        self._migrated = counter("store/migrated")
 
     # ------------------------------------------------------------------
     # Layout
@@ -262,21 +254,13 @@ class ShardedStore:
         name = f"{_safe_name(namespace)}--{_safe_name(key)}--{kh[:12]}.json"
         return self.manifest_dir / self._shard_name(kh) / name
 
-    def legacy_path(self, namespace: str, key: str) -> Path:
-        """Where the pre-sharded flat layout stored this artifact."""
-        return self.root / namespace / f"{key}.npz"
-
     def artifact_path(self, namespace: str, key: str) -> Path:
-        """The on-disk artifact for a key: its blob, or the legacy file.
-
-        For an unknown key this returns the legacy flat location — the
-        path a pre-sharded writer would have used — so callers probing
-        or corrupting "where the artifact would live" stay meaningful.
-        """
+        """The content-addressed blob of a stored key (KeyError if the
+        key is unknown)."""
         entry = self._read_entry(namespace, key)
-        if entry is not None:
-            return self.blob_path(entry.content_hash)
-        return self.legacy_path(namespace, key)
+        if entry is None:
+            raise KeyError(f"no stored artifact: {namespace}/{key}")
+        return self.blob_path(entry.content_hash)
 
     # ------------------------------------------------------------------
     # Entry documents
@@ -372,12 +356,12 @@ class ShardedStore:
 
         An unreadable blob is quarantined (moved aside for post-mortem,
         never re-read) and its entry dropped, so the artifact surfaces
-        as a miss and is recomputed.  Unknown keys fall through to the
-        legacy flat layout and are migrated in place on a readable hit.
+        as a miss and is recomputed.
         """
         entry = self._read_entry(namespace, key)
         if entry is None:
-            return self._get_legacy(namespace, key)
+            self.stats.misses += 1
+            raise KeyError(f"cache miss: {namespace}/{key}")
         blob = self.blob_path(entry.content_hash)
         try:
             size = blob.stat().st_size
@@ -396,7 +380,7 @@ class ShardedStore:
     def get_meta(self, namespace: str, key: str) -> Dict[str, Any]:
         entry = self._read_entry(namespace, key)
         if entry is None:
-            return self._get_legacy_meta(namespace, key)
+            raise KeyError(f"cache meta miss: {namespace}/{key}")
         sidecar = self.blob_path(entry.content_hash).with_suffix(".json")
         if not sidecar.exists():
             raise KeyError(f"cache meta miss: {namespace}/{key}")
@@ -408,9 +392,7 @@ class ShardedStore:
                 f"cache meta unreadable: {namespace}/{key}") from None
 
     def contains(self, namespace: str, key: str) -> bool:
-        if self.entry_path(namespace, key).exists():
-            return True
-        return self.legacy_path(namespace, key).exists()
+        return self.entry_path(namespace, key).exists()
 
     def delete(self, namespace: str, key: str) -> int:
         """Remove one entry (and its blob if unreferenced); returns files
@@ -418,12 +400,8 @@ class ShardedStore:
         removed = 0
         entry = self._read_entry(namespace, key)
         if entry is not None:
-            removed += self._remove_entry(entry, drop_blob=True)
-        legacy = self.legacy_path(namespace, key)
-        for victim in (legacy, legacy.with_suffix(".json")):
-            if victim.is_file():
-                victim.unlink()
-                removed += 1
+            removed, _ = self._remove_entry(
+                entry, self._blob_refs(self.entries()))
         self._pins.discard((namespace, key))
         return removed
 
@@ -445,9 +423,6 @@ class ShardedStore:
     def unpin(self, namespace: str, key: str) -> None:
         self._pins.discard((namespace, key))
 
-    def unpin_all(self) -> None:
-        self._pins.clear()
-
     @property
     def pinned(self) -> Set[Tuple[str, str]]:
         return set(self._pins)
@@ -463,7 +438,7 @@ class ShardedStore:
                    for p in self.shards_dir.glob("*/*.npz") if p.is_file())
 
     def logical_bytes(self) -> int:
-        """Bytes the flat layout would store (each entry counted)."""
+        """Bytes stored without dedup (each entry counted)."""
         return sum(e.size for e in self.entries())
 
     def dedup_report(self) -> Dict[str, Any]:
@@ -499,9 +474,7 @@ class ShardedStore:
             if total <= cap:
                 return 0
             entries = self.entries()
-            refs: Dict[str, int] = {}
-            for e in entries:
-                refs[e.content_hash] = refs.get(e.content_hash, 0) + 1
+            refs = self._blob_refs(entries)
             evicted = 0
             reclaimed = 0
             for e in entries:              # oldest-read first
@@ -509,18 +482,9 @@ class ShardedStore:
                     break
                 if e.ident in self._pins:
                     continue
-                self._remove_entry(e, drop_blob=False)
-                refs[e.content_hash] -= 1
-                if refs[e.content_hash] <= 0:
-                    blob = self.blob_path(e.content_hash)
-                    if blob.is_file():
-                        freed = blob.stat().st_size
-                        total -= freed
-                        reclaimed += freed
-                        blob.unlink()
-                    sidecar = blob.with_suffix(".json")
-                    if sidecar.is_file():
-                        sidecar.unlink()
+                _, freed = self._remove_entry(e, refs)
+                total -= freed
+                reclaimed += freed
                 evicted += 1
                 self.stats.evictions += 1
                 self._evicted.inc()
@@ -539,24 +503,35 @@ class ShardedStore:
                       pinned=len(self._pins))
             return evicted
 
-    def _remove_entry(self, entry: StoreEntry, *, drop_blob: bool) -> int:
-        removed = 0
+    @staticmethod
+    def _blob_refs(entries: Iterable[StoreEntry]) -> Dict[str, int]:
+        """Manifest entries per blob hash."""
+        return collections.Counter(e.content_hash for e in entries)
+
+    def _remove_entry(self, entry: StoreEntry, refs: Dict[str, int]
+                      ) -> Tuple[int, int]:
+        """Unlink one entry document, and its blob once no other entry
+        references it; returns ``(files removed, blob bytes freed)``.
+
+        ``refs`` (from :meth:`_blob_refs`) is decremented in place, so
+        one manifest pass serves a whole batch of removals.
+        """
+        removed = freed = 0
         try:
             entry.path.unlink()
             removed += 1
         except OSError:
             pass
-        if drop_blob:
-            # Only if no other entry references the blob.
-            still = any(e.content_hash == entry.content_hash
-                        for e in self.entries())
-            if not still:
-                blob = self.blob_path(entry.content_hash)
-                for victim in (blob, blob.with_suffix(".json")):
-                    if victim.is_file():
-                        victim.unlink()
-                        removed += 1
-        return removed
+        refs[entry.content_hash] -= 1
+        if refs[entry.content_hash] <= 0:
+            blob = self.blob_path(entry.content_hash)
+            if blob.is_file():
+                freed = blob.stat().st_size
+            for victim in (blob, blob.with_suffix(".json")):
+                if victim.is_file():
+                    victim.unlink()
+                    removed += 1
+        return removed, freed
 
     # ------------------------------------------------------------------
     # Self-healing, quarantine, integrity scrub
@@ -662,98 +637,12 @@ class ShardedStore:
                      suffix=".json.tmp")
 
     # ------------------------------------------------------------------
-    # Legacy flat-layout read-through + migration
-    # ------------------------------------------------------------------
-    def _legacy_meta_doc(self, namespace: str, key: str) -> Optional[Dict]:
-        sidecar = self.legacy_path(namespace, key).with_suffix(".json")
-        if not sidecar.exists():
-            return None
-        try:
-            return json.loads(sidecar.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-
-    def _get_legacy(self, namespace: str, key: str) -> Dict[str, np.ndarray]:
-        path = self.legacy_path(namespace, key)
-        if not path.exists():
-            self.stats.misses += 1
-            raise KeyError(f"cache miss: {namespace}/{key}")
-        try:
-            size = path.stat().st_size
-            with np.load(path, allow_pickle=False) as data:
-                arrays = {name: data[name] for name in data.files}
-        except Exception as exc:
-            log.warning("discarding unreadable legacy cache entry %s/%s: %s",
-                        namespace, key, f"{type(exc).__name__}: {exc}")
-            self.stats.stale_discards += 1
-            self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            raise KeyError(
-                f"cache entry unreadable: {namespace}/{key}") from None
-        # Upgrade in place: adopt the artifact into the sharded layout
-        # and drop the flat blob (the meta sidecar, if any, migrates
-        # into the store; the flat .json is left because the JSON-doc
-        # API shares that path).
-        self.put(namespace, key, arrays, meta=self._legacy_meta_doc(namespace,
-                                                                    key))
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        self.stats.migrated += 1
-        self._migrated.inc()
-        log.info("migrated legacy cache entry %s/%s into sharded store",
-                 namespace, key)
-        self.stats.hits += 1
-        self.stats.bytes_read += size
-        return arrays
-
-    def _get_legacy_meta(self, namespace: str, key: str) -> Dict[str, Any]:
-        path = self.legacy_path(namespace, key).with_suffix(".json")
-        if not path.exists():
-            raise KeyError(f"cache meta miss: {namespace}/{key}")
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            log.warning("discarding unreadable legacy meta %s/%s: %s",
-                        namespace, key, type(exc).__name__)
-            self.stats.stale_discards += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            raise KeyError(
-                f"cache meta unreadable: {namespace}/{key}") from None
-
-    def migrate_flat(self) -> int:
-        """Adopt every readable legacy flat-layout artifact; returns the
-        number migrated.  Unreadable legacy files are discarded (they
-        would have surfaced as misses anyway)."""
-        migrated = 0
-        reserved = {"shards", "manifest", "quarantine"}
-        if not self.root.exists():
-            return 0
-        for ns_dir in sorted(self.root.iterdir()):
-            if not ns_dir.is_dir() or ns_dir.name in reserved:
-                continue
-            for path in sorted(ns_dir.glob("*.npz")):
-                try:
-                    self._get_legacy(ns_dir.name, path.stem)
-                    migrated += 1
-                except KeyError:
-                    continue
-        return migrated
-
-    # ------------------------------------------------------------------
     # Bulk removal
     # ------------------------------------------------------------------
     def clear(self, namespace: Optional[str] = None) -> int:
-        """Delete stored entries (one namespace, or everything); returns
-        files removed.  Clearing a namespace also sweeps its legacy
-        flat-layout files, preserving the flat cache's semantics."""
+        """Delete stored entries (one namespace, or every file under the
+        root); returns files removed.  A blob shared with an entry of
+        another namespace stays."""
         removed = 0
         if namespace is None:
             if self.root.exists():
@@ -763,13 +652,10 @@ class ShardedStore:
                         removed += 1
             self._pins.clear()
             return removed
-        for entry in self.entries(namespace):
-            removed += self._remove_entry(entry, drop_blob=True)
-            self._pins.discard(entry.ident)
-        legacy = self.root / namespace
-        if legacy.exists():
-            for path in sorted(legacy.rglob("*")):
-                if path.is_file():
-                    path.unlink()
-                    removed += 1
+        entries = self.entries()
+        refs = self._blob_refs(entries)
+        for entry in entries:
+            if entry.namespace == namespace:
+                removed += self._remove_entry(entry, refs)[0]
+                self._pins.discard(entry.ident)
         return removed

@@ -135,8 +135,7 @@ def build_craft_model(scenario: Scenario, classifier: Module, magnet: MagNet,
 
 
 def build_attack(scenario: Scenario, model: Module, magnet: MagNet,
-                 attack_params: Optional[Mapping] = None,
-                 batch_mode: str = "batched"):
+                 attack_params: Optional[Mapping] = None):
     """Instantiate the scenario's attack bound to its craft model.
 
     ``attack_params`` carries the optimization budget
@@ -147,7 +146,6 @@ def build_attack(scenario: Scenario, model: Module, magnet: MagNet,
     p = scenario.params_dict
     budget = dict(attack_params or {})
     budget["kappa"] = float(p.get("kappa", 0.0))
-    budget["batch_mode"] = batch_mode
     family = scenario.attack
     if family in ("ead_l1", "ead_en"):
         budget["beta"] = float(p.get("beta", 1e-2))
@@ -167,8 +165,8 @@ def execute_scenario(scenario: Scenario, *, classifier: Module,
                      magnet: MagNet, x0: np.ndarray, y0: np.ndarray,
                      seed: int = 0,
                      attack_params: Optional[Mapping] = None,
-                     surrogate_classifier: Optional[Module] = None,
-                     batch_mode: str = "batched") -> ScenarioOutcome:
+                     surrogate_classifier: Optional[Module] = None
+                     ) -> ScenarioOutcome:
     """Run one cell: craft (or corrupt), then score the full defense."""
     with span("scenario/cell", scenario=scenario.scenario_id,
               threat=scenario.threat_model, n=len(x0)) as evt:
@@ -179,8 +177,7 @@ def execute_scenario(scenario: Scenario, *, classifier: Module,
         else:
             model = build_craft_model(scenario, classifier, magnet,
                                       surrogate_classifier)
-            attack = build_attack(scenario, model, magnet, attack_params,
-                                  batch_mode)
+            attack = build_attack(scenario, model, magnet, attack_params)
             result = attack.attack(x0, y0)
             x_adv = result.x_adv
             craft_success = float(result.success.mean())
@@ -291,12 +288,12 @@ def _surrogate_classifier(ctx: ExperimentContext) -> Module:
 
 def _run_cell(payload) -> Dict:
     """Worker body: one scenario cell end to end, returns the outcome doc."""
-    (scenario, seed, classifier, magnet, surrogate, x0, y0, attack_params,
-     batch_mode) = payload
+    (scenario, seed, classifier, magnet, surrogate, x0, y0,
+     attack_params) = payload
     outcome = execute_scenario(
         scenario, classifier=classifier, magnet=magnet, x0=x0, y0=y0,
         seed=seed, attack_params=attack_params,
-        surrogate_classifier=surrogate, batch_mode=batch_mode)
+        surrogate_classifier=surrogate)
     return outcome.to_dict()
 
 
@@ -394,7 +391,7 @@ def run_scenarios(cells: Sequence[SweepCell],
                           if s.workload == "adversarial" else None)
                 payloads.append((s, cell.seed, ctx.classifier,
                                  ctx.magnet(s.defense_variant), surrogate,
-                                 x0, y0, params, ctx.batch_mode))
+                                 x0, y0, params))
             log.info("running %d/%d scenario cells with %d workers",
                      len(todo), len(cells), jobs)
 

@@ -6,26 +6,22 @@ this cache.  Keys are derived from :func:`stable_hash`, which canonicalizes
 nested dict/list/tuple/scalar configs into JSON and hashes with SHA-256, so
 the same logical config always maps to the same file across processes.
 
-Since PR 8 the array store is backed by
-:class:`repro.runtime.store.ShardedStore`: artifacts are content-addressed
-(``shards/<shard>/<hash>.npz``), identical payloads are deduplicated
-across cells, total size can be bounded by LRU eviction, and a flat
-pre-sharding cache directory is read through and migrated in place.
-:class:`DiskCache` remains the public API — a thin facade — and small
-JSON documents (checkpoint manifests, scenario outcomes) keep the
-original flat ``<root>/<namespace>/<key>.json`` layout, so existing
-checkpoints remain valid.
+Array artifacts live in :class:`repro.runtime.store.ShardedStore`: they
+are content-addressed (``shards/<shard>/<hash>.npz``), identical payloads
+are deduplicated across cells, and total size can be bounded by LRU
+eviction.  :class:`DiskCache` is the public API — a thin facade — and
+small JSON documents (checkpoint manifests, scenario outcomes) sit
+beside the store at ``<root>/<namespace>/<key>.json``.
 
 The store is safe for concurrent writers (the parallel runtime fans
 attack cells out across processes that share one cache root): every
 write lands in a uniquely-named temp file in the destination directory,
 is fsync'd, and is published with an atomic ``os.replace``.  Readers
-treat any unreadable entry — e.g. a truncated ``.npz`` left by a crash
-of an older, non-atomic writer — as a miss: the stale file is discarded
-(sharded blobs are quarantined for post-mortem) and the artifact is
-recomputed and rewritten instead of poisoning the run.  Per-instance
-:class:`CacheStats` counters expose hit/miss/byte traffic for telemetry
-and debugging.
+treat any unreadable entry — e.g. a torn copy of a blob — as a miss:
+the blob is quarantined for post-mortem (a corrupt JSON document is
+discarded) and the artifact is recomputed and rewritten instead of
+poisoning the run.  Per-instance :class:`CacheStats` counters expose
+hit/miss/byte traffic for telemetry and debugging.
 """
 
 from __future__ import annotations
@@ -39,12 +35,7 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from repro.obs import counter
-from repro.runtime.store import (
-    CacheStats,
-    ShardedStore,
-    atomic_write as _atomic_write,
-    _fsync_dir,
-)
+from repro.runtime.store import CacheStats, ShardedStore, atomic_write
 from repro.utils.logging import get_logger
 
 log = get_logger(__name__)
@@ -88,135 +79,66 @@ class DiskCache:
     """Array/JSON artifact cache: the public facade over the sharded store.
 
     Each array entry is a dict of ndarrays (plus a JSON metadata sidecar)
-    addressed by ``(namespace, key)``; with the default ``"sharded"``
-    backend the bytes live in a content-addressed
-    :class:`~repro.runtime.store.ShardedStore` (dedup, LRU eviction,
-    quarantine), while ``backend="flat"`` keeps the original
-    ``<root>/<namespace>/<key>.npz`` layout.  Writes are atomic and
-    readers self-heal: unreadable entries are discarded and surface as
-    misses (see the module docstring for the concurrency contract).
+    addressed by ``(namespace, key)``; the bytes live in a
+    content-addressed :class:`~repro.runtime.store.ShardedStore` (dedup,
+    LRU eviction, quarantine).  Writes are atomic and readers self-heal:
+    unreadable entries are quarantined and surface as misses (see the
+    module docstring for the concurrency contract).
 
     Args:
         root: cache directory (default ``$REPRO_CACHE_DIR`` or
             ``.repro_cache``).
-        backend: ``"sharded"`` (default) or ``"flat"``.
-        shards: shard fan-out for the sharded backend.
-        max_bytes: optional stored-bytes cap enforced by LRU eviction
-            (sharded backend only).
+        shards: shard fan-out of the store.
+        max_bytes: optional stored-bytes cap enforced by LRU eviction.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None, *,
-                 backend: str = "sharded", shards: int = 256,
-                 max_bytes: Optional[int] = None):
+                 shards: int = 256, max_bytes: Optional[int] = None):
         if root is None:
             root = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-        if backend not in ("sharded", "flat"):
-            raise ValueError(f"unknown cache backend: {backend!r} "
-                             "(expected 'sharded' or 'flat')")
         self.root = Path(root)
-        self.backend = backend
         self.stats = CacheStats()
-        self._store: Optional[ShardedStore] = None
-        if backend == "sharded":
-            self._store = ShardedStore(self.root, shards=shards,
-                                       max_bytes=max_bytes, stats=self.stats)
-        elif max_bytes is not None:
-            raise ValueError("max_bytes requires the sharded backend")
+        self._store = ShardedStore(self.root, shards=shards,
+                                   max_bytes=max_bytes, stats=self.stats)
         self._hits = counter("cache/hits")
         self._misses = counter("cache/misses")
         self._writes = counter("cache/writes")
 
     @property
-    def store(self) -> Optional[ShardedStore]:
-        """The sharded backend (None on the flat backend)."""
+    def store(self) -> ShardedStore:
+        """The sharded store holding the array artifacts."""
         return self._store
 
     def _path(self, namespace: str, key: str) -> Path:
-        """On-disk artifact path for a key.
-
-        On the sharded backend this resolves an existing entry to its
-        content-addressed blob; an unknown key maps to the legacy flat
-        location (where a pre-sharding writer would have put it), which
-        keeps corruption-injection tooling meaningful on both layouts.
-        """
-        if self._store is not None:
-            return self._store.artifact_path(namespace, key)
-        return self.root / namespace / f"{key}.npz"
+        """The content-addressed blob of a stored key (KeyError if the
+        key is unknown) — what corruption-injection tooling targets."""
+        return self._store.artifact_path(namespace, key)
 
     def contains(self, namespace: str, key: str) -> bool:
-        if self._store is not None:
-            return self._store.contains(namespace, key)
-        return self._path(namespace, key).exists()
+        return self._store.contains(namespace, key)
 
     def save(self, namespace: str, key: str, arrays: Dict[str, np.ndarray],
              meta: Optional[Dict[str, Any]] = None) -> Path:
         """Atomically store a dict of arrays under (namespace, key).
 
-        Returns the path of the stored artifact (the content-addressed
-        blob on the sharded backend).
+        Returns the path of the stored content-addressed blob.
         """
-        if self._store is not None:
-            path = self._store.put(namespace, key, arrays, meta=meta)
-            self._writes.inc()
-            return path
-        path = self._path(namespace, key)
-        written = _atomic_write(path, lambda fh: np.savez(fh, **arrays),
-                                suffix=".npz.tmp")
-        if meta is not None:
-            meta_path = path.with_suffix(".json")
-            blob = json.dumps(meta, indent=2, default=str).encode("utf-8")
-            written += _atomic_write(meta_path, lambda fh: fh.write(blob),
-                                     suffix=".json.tmp")
-        self.stats.writes += 1
-        self.stats.bytes_written += written
+        path = self._store.put(namespace, key, arrays, meta=meta)
         self._writes.inc()
         return path
-
-    def _discard_stale(self, namespace: str, key: str, reason: str) -> None:
-        """Remove an unreadable flat entry (and sidecar) so it is rewritten."""
-        path = self.root / namespace / f"{key}.npz"
-        log.warning("discarding unreadable cache entry %s/%s: %s",
-                    namespace, key, reason)
-        self.stats.stale_discards += 1
-        for victim in (path, path.with_suffix(".json")):
-            try:
-                victim.unlink()
-            except OSError:
-                pass
 
     def load(self, namespace: str, key: str) -> Dict[str, np.ndarray]:
         """Load a dict of arrays; raises KeyError if absent or unreadable.
 
-        A truncated or corrupt file (e.g. from an interrupted legacy
-        writer or a torn copy) is discarded — quarantined on the sharded
-        backend — and reported as a miss rather than crashing the run.
+        A truncated or corrupt blob (e.g. a torn copy) is quarantined and
+        reported as a miss rather than crashing the run.
         """
-        if self._store is not None:
-            try:
-                arrays = self._store.get(namespace, key)
-            except KeyError:
-                self._misses.inc()
-                raise
-            self._hits.inc()
-            return arrays
-        path = self._path(namespace, key)
-        if not path.exists():
-            self.stats.misses += 1
-            self._misses.inc()
-            raise KeyError(f"cache miss: {namespace}/{key}")
         try:
-            size = path.stat().st_size
-            with np.load(path, allow_pickle=False) as data:
-                arrays = {name: data[name] for name in data.files}
-        except Exception as exc:
-            self._discard_stale(namespace, key, f"{type(exc).__name__}: {exc}")
-            self.stats.misses += 1
+            arrays = self._store.get(namespace, key)
+        except KeyError:
             self._misses.inc()
-            raise KeyError(
-                f"cache entry unreadable: {namespace}/{key}") from None
-        self.stats.hits += 1
+            raise
         self._hits.inc()
-        self.stats.bytes_read += size
         return arrays
 
     # ------------------------------------------------------------------
@@ -231,15 +153,15 @@ class DiskCache:
         Same crash-safety contract as :meth:`save`: the document is
         published whole or not at all, so a checkpoint manifest can be
         rewritten after every completed sweep cell without a kill window
-        ever leaving a torn file behind.  JSON documents always use the
-        flat layout — they are tiny, human-inspectable, and existing
-        checkpoints must stay valid across the backend switch.
+        ever leaving a torn file behind.  JSON documents live outside
+        the store at ``<root>/<namespace>/<key>.json`` — they are tiny
+        and human-inspectable.
         """
         path = self._json_path(namespace, key)
         blob = json.dumps(obj, indent=2, sort_keys=True,
                           default=str).encode("utf-8")
-        written = _atomic_write(path, lambda fh: fh.write(blob),
-                                suffix=".json.tmp")
+        written = atomic_write(path, lambda fh: fh.write(blob),
+                               suffix=".json.tmp")
         self.stats.writes += 1
         self.stats.bytes_written += written
         self._writes.inc()
@@ -248,8 +170,8 @@ class DiskCache:
     def load_json(self, namespace: str, key: str) -> Dict[str, Any]:
         """Load a JSON document; raises KeyError if absent or unreadable.
 
-        A corrupt document (torn legacy write, injected fault) is
-        discarded and surfaces as a miss, mirroring :meth:`load`.
+        A corrupt document (torn write, injected fault) is discarded and
+        surfaces as a miss, mirroring :meth:`load`.
         """
         path = self._json_path(namespace, key)
         if not path.exists():
@@ -277,17 +199,7 @@ class DiskCache:
         return obj
 
     def load_meta(self, namespace: str, key: str) -> Dict[str, Any]:
-        if self._store is not None:
-            return self._store.get_meta(namespace, key)
-        path = self._path(namespace, key).with_suffix(".json")
-        if not path.exists():
-            raise KeyError(f"cache meta miss: {namespace}/{key}")
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            self._discard_stale(namespace, key, f"meta {type(exc).__name__}")
-            raise KeyError(
-                f"cache meta unreadable: {namespace}/{key}") from None
+        return self._store.get_meta(namespace, key)
 
     def get_or_compute(self, namespace: str, key: str,
                        compute: Callable[[], Dict[str, np.ndarray]],
@@ -305,35 +217,24 @@ class DiskCache:
         return arrays
 
     # ------------------------------------------------------------------
-    # Eviction pinning (no-op on the flat backend)
+    # Eviction pinning
     # ------------------------------------------------------------------
     def pin(self, namespace: str, key: str) -> None:
         """Protect an entry from LRU eviction while a sweep checkpoint
         still references it."""
-        if self._store is not None:
-            self._store.pin(namespace, key)
+        self._store.pin(namespace, key)
 
     def unpin(self, namespace: str, key: str) -> None:
-        if self._store is not None:
-            self._store.unpin(namespace, key)
+        self._store.unpin(namespace, key)
 
     def clear(self, namespace: Optional[str] = None) -> int:
-        """Delete cached entries; returns the number of files removed."""
-        if self._store is not None and namespace is not None:
-            removed = self._store.clear(namespace)
-            # JSON documents live outside the store but share the
-            # namespace directory sweep above, so nothing extra to do.
-            return removed
-        base = self.root / namespace if namespace else self.root
-        if not base.exists():
-            return 0
-        removed = 0
-        for path in sorted(base.rglob("*")):
-            if path.is_file():
+        """Delete cached entries and JSON documents (one namespace, or
+        everything); returns the number of files removed."""
+        removed = self._store.clear(namespace)
+        if namespace is not None:
+            for path in sorted((self.root / namespace).rglob("*.json")):
                 path.unlink()
                 removed += 1
-        if self._store is not None:
-            self._store.unpin_all()
         return removed
 
 

@@ -19,6 +19,7 @@ from repro.attacks.adaptive import jsd_score_graph, reconstruction_score_graph
 from repro.defenses import JSDDetector, MagNet, ReconstructionDetector, Reformer
 from repro.nn import Tensor
 from repro.nn.autograd import no_grad
+from tests.attacks.reference import lanewise_attack
 
 
 @pytest.fixture(scope="module")
@@ -238,20 +239,17 @@ class TestDetectorAwareAttacks:
 
     def test_per_example_mode_matches_batched(self, calibrated_magnet,
                                               tiny_splits):
-        """The detector-aware objective rides the masked engine: both
-        engine modes must produce identical examples."""
+        """The detector-aware objective rides the masked engine: the
+        batched run must match the per-example reference."""
         x0, y0 = self._correct_batch(calibrated_magnet, tiny_splits, 3)
-        kwargs = dict(binary_search_steps=2, max_iterations=15,
-                      initial_const=1.0, lr=5e-2)
-        model = bpda_model(calibrated_magnet)
-        batched = DetectorAwareEAD(model, calibrated_magnet.detectors,
-                                   batch_mode="batched", **kwargs)
-        lanewise = DetectorAwareEAD(model, calibrated_magnet.detectors,
-                                    batch_mode="per_example", **kwargs)
-        rb = batched.attack(x0, y0)
-        rl = lanewise.attack(x0, y0)
+        attack = DetectorAwareEAD(bpda_model(calibrated_magnet),
+                                  calibrated_magnet.detectors,
+                                  binary_search_steps=2, max_iterations=15,
+                                  initial_const=1.0, lr=5e-2)
+        rb = attack.attack(x0, y0)
+        rl = lanewise_attack(attack, x0, y0)
         # Same tolerance as tests/attacks/test_batch_equivalence.py: BLAS
         # reduction order varies with batch size, so float-exact equality
-        # across engine modes is not guaranteed.
+        # against the per-example reference is not guaranteed.
         np.testing.assert_allclose(rb.x_adv, rl.x_adv, atol=1e-5)
         np.testing.assert_array_equal(rb.success, rl.success)

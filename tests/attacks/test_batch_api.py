@@ -2,12 +2,9 @@
 
 Every attack takes ``attack(x0, labels)`` batch-in/batch-out with
 keyword-only constructor knobs; the base class owns the ``N=0`` fast
-path (no model calls), ``attack_one`` survives as a deprecated shim, and
-the optimization attacks expose per-lane diagnostics wired into the
-``attack/iterations`` metric.
+path (no model calls), and the optimization attacks expose per-lane
+diagnostics wired into the ``attack/iterations`` metric.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -27,9 +24,9 @@ from repro.attacks import (
     ZOO,
     concat_results,
     flat_norms,
-    resolve_batch_mode,
 )
 from repro.obs import counter
+from tests.attacks.reference import lanewise_attack
 
 
 class _ExplodingModel:
@@ -85,62 +82,26 @@ class TestEmptyBatchFastPath:
 class TestSingleExampleFastPath:
     def test_per_example_mode_short_circuits_at_n1(self, tiny_classifier,
                                                    tiny_splits):
-        """At N=1 both engines are the same code path — bitwise equal."""
+        """At N=1 the per-example reference is one batched call — bitwise
+        equal to the wide engine."""
         x0 = tiny_splits.test.x[:1]
         y0 = tiny_splits.test.y[:1]
-        params = dict(kappa=0.0, binary_search_steps=2, max_iterations=20,
-                      initial_const=1.0, lr=5e-2)
-        batched = CarliniWagnerL2(tiny_classifier, batch_mode="batched",
-                                  **params).attack(x0, y0)
-        lanewise = CarliniWagnerL2(tiny_classifier, batch_mode="per_example",
-                                   **params).attack(x0, y0)
+        attack = CarliniWagnerL2(tiny_classifier, kappa=0.0,
+                                 binary_search_steps=2, max_iterations=20,
+                                 initial_const=1.0, lr=5e-2)
+        batched = attack.attack(x0, y0)
+        lanewise = lanewise_attack(attack, x0, y0)
         np.testing.assert_array_equal(batched.x_adv, lanewise.x_adv)
         np.testing.assert_array_equal(batched.iterations, lanewise.iterations)
 
-    def test_attack_one_is_deprecated_but_works(self, tiny_classifier,
-                                                tiny_splits):
-        attack = FGSM(tiny_classifier, epsilon=0.1)
-        with pytest.warns(DeprecationWarning, match="batch-first"):
-            result = attack.attack_one(tiny_splits.test.x[0],
-                                       int(tiny_splits.test.y[0]))
-        assert len(result) == 1
-        assert result.x_adv.shape == (1, 1, 28, 28)
-
-    def test_attack_one_warning_points_at_caller(self, tiny_classifier,
-                                                 tiny_splits):
-        """The shim warns with ``stacklevel=2``: the reported location is
-        the call site, not ``repro/attacks/base.py`` — so downstream
-        users see *their* file in the deprecation notice."""
-        attack = FGSM(tiny_classifier, epsilon=0.1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            attack.attack_one(tiny_splits.test.x[0],
-                              int(tiny_splits.test.y[0]))
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
-
-    def test_attack_one_accepts_chw_and_nchw(self, tiny_classifier,
-                                             tiny_splits):
-        attack = FGSM(tiny_classifier, epsilon=0.1)
-        chw = tiny_splits.test.x[0]
-        with pytest.warns(DeprecationWarning):
-            a = attack.attack_one(chw, int(tiny_splits.test.y[0]))
-        with pytest.warns(DeprecationWarning):
-            b = attack.attack_one(chw[None], int(tiny_splits.test.y[0]))
-        np.testing.assert_array_equal(a.x_adv, b.x_adv)
-
 
 class TestBatchModeKnob:
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError, match="batch_mode"):
-            resolve_batch_mode("vectorized")
+    """One engine: the optimization attacks take no ``batch_mode``."""
 
     @pytest.mark.parametrize("cls", [EAD, CarliniWagnerL2])
     def test_constructors_validate(self, cls):
-        with pytest.raises(ValueError, match="batch_mode"):
-            cls(_ExplodingModel(), batch_mode="bogus")
+        with pytest.raises(TypeError, match="batch_mode"):
+            cls(_ExplodingModel(), batch_mode="batched")
 
     @pytest.mark.parametrize("factory", ATTACK_FACTORIES)
     def test_knobs_are_keyword_only(self, factory):

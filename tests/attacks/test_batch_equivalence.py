@@ -1,6 +1,8 @@
-"""Equivalence suite for the masked batch engine (PR: batch-first API).
+"""Equivalence suite for the masked batch engine.
 
-The batched engine must agree with the ``per_example`` reference path:
+The batched engine must agree with the per-example reference
+(:mod:`tests.attacks.reference`: each lane attacked alone, results
+stitched in order):
 
 * **Tolerance-based** for batched-vs-per-example comparisons: a batch-1
   forward and a batch-N forward are *not* bitwise identical on this
@@ -26,6 +28,7 @@ from repro.attacks import (
     MaskedLanes,
     logits_of,
 )
+from tests.attacks.reference import lanewise_attack, lanewise_attack_both
 
 # Documented engine tolerance: per-example runs use batch-1 model
 # dispatches whose BLAS kernels differ from the batched ones; the drift
@@ -59,11 +62,10 @@ class TestCWEquivalence:
     @pytest.mark.parametrize("kappa", [0.0, 1.0])
     def test_batched_matches_per_example(self, tiny_classifier, seeds, kappa):
         x0, y0 = seeds
-        params = dict(kappa=kappa, lr=5e-2, **SMOKE)
-        batched = CarliniWagnerL2(
-            tiny_classifier, batch_mode="batched", **params).attack(x0, y0)
-        lanewise = CarliniWagnerL2(
-            tiny_classifier, batch_mode="per_example", **params).attack(x0, y0)
+        attack = CarliniWagnerL2(tiny_classifier, kappa=kappa, lr=5e-2,
+                                 **SMOKE)
+        batched = attack.attack(x0, y0)
+        lanewise = lanewise_attack(attack, x0, y0)
         _assert_equivalent(batched, lanewise)
 
     def test_subset_is_bitwise(self, tiny_classifier, seeds):
@@ -91,11 +93,10 @@ class TestEADEquivalence:
     @pytest.mark.parametrize("kappa", [0.0, 1.0])
     def test_both_rules_match_per_example(self, tiny_classifier, seeds, kappa):
         x0, y0 = seeds
-        params = dict(beta=1e-1, kappa=kappa, lr=1e-2, **SMOKE)
-        batched = EAD(tiny_classifier, batch_mode="batched",
-                      **params).attack_both(x0, y0)
-        lanewise = EAD(tiny_classifier, batch_mode="per_example",
-                       **params).attack_both(x0, y0)
+        attack = EAD(tiny_classifier, beta=1e-1, kappa=kappa, lr=1e-2,
+                     **SMOKE)
+        batched = attack.attack_both(x0, y0)
+        lanewise = lanewise_attack_both(attack, x0, y0)
         for rule in DECISION_RULES:
             _assert_equivalent(batched[rule], lanewise[rule])
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs import (
     EventLog,
     aggregate_events,
@@ -43,6 +45,48 @@ class TestLoadEventsResilience:
         events = load_events(tmp_path / "absent.jsonl")
         assert events == []
         assert events.skipped == 0
+
+    def test_load_skips_malformed_lines(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"stage": "a", "duration_s": 1}\n'
+                        "not json at all\n"
+                        '{"no_stage_field": true}\n'
+                        '{"stage": "b", "duration_s": 2}\n')
+        events = load_events(path)
+        assert [e["stage"] for e in events] == ["a", "b"]
+
+
+class TestAggregateAndRender:
+    def test_aggregate(self):
+        events = [
+            {"stage": "attack/ead", "duration_s": 2.0, "cache": "miss",
+             "worker": 1},
+            {"stage": "attack/ead", "duration_s": 4.0, "cache": "hit",
+             "worker": 2},
+            {"stage": "train/classifier", "duration_s": 10.0, "worker": 1},
+        ]
+        stats = aggregate_events(events)
+        ead = stats["attack/ead"]
+        assert ead.count == 2
+        assert ead.total_s == pytest.approx(6.0)
+        assert ead.mean_s == pytest.approx(3.0)
+        assert ead.max_s == pytest.approx(4.0)
+        assert ead.cache_hits == 1
+        assert ead.cache_misses == 1
+        assert ead.workers == 2
+        assert stats["train/classifier"].count == 1
+
+    def test_render_sorted_by_total(self):
+        events = [
+            {"stage": "small", "duration_s": 1.0},
+            {"stage": "big", "duration_s": 9.0},
+        ]
+        table = render_timings(events)
+        assert table.index("big") < table.index("small")
+        assert "total stage time" in table
+
+    def test_render_empty(self):
+        assert "no telemetry" in render_timings([])
 
 
 class TestSkipCountReporting:

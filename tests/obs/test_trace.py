@@ -1,10 +1,15 @@
 """Unit tests for hierarchical spans and cross-boundary trace context."""
 
 import json
+import os
 import time
 
+import pytest
+
 from repro.obs import (
+    TELEMETRY_ENV,
     TraceContext,
+    active_sink,
     attach_trace_context,
     configure_observability,
     current_span,
@@ -86,6 +91,18 @@ class TestSpanEmission:
         (rec,) = _read(path)
         assert rec["duration_s"] >= 0.01
 
+    def test_top_level_span_durations_cover_wall_clock(self, tmp_path):
+        """Top-level span durations must account for ~all elapsed time."""
+        path = tmp_path / "t.jsonl"
+        configure_observability(path)
+        t0 = time.perf_counter()
+        for _ in range(3):
+            with span("work"):
+                time.sleep(0.02)
+        wall = time.perf_counter() - t0
+        total = sum(rec["duration_s"] for rec in _read(path))
+        assert total == pytest.approx(wall, rel=0.5)
+
 
 class TestDisabledPath:
     def test_disabled_span_has_no_ids_and_writes_nothing(self, tmp_path):
@@ -103,6 +120,30 @@ class TestDisabledPath:
     def test_disabled_event_and_record_span_are_noops(self):
         event("e", duration_s=1.0)
         record_span("s", 0.5)
+
+
+class TestGlobalSink:
+    def test_disabled_by_default(self):
+        assert not active_sink().enabled
+
+    def test_configure_enables_and_exports_env(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        sink = configure_observability(path)
+        assert sink.enabled
+        assert active_sink() is sink
+        assert os.environ[TELEMETRY_ENV] == str(path)
+
+    def test_env_change_is_picked_up(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(TELEMETRY_ENV, str(tmp_path / "a.jsonl"))
+        assert active_sink().path.name == "a.jsonl"
+        monkeypatch.setenv(TELEMETRY_ENV, str(tmp_path / "b.jsonl"))
+        assert active_sink().path.name == "b.jsonl"
+
+    def test_configure_none_disables(self, tmp_path):
+        configure_observability(tmp_path / "t.jsonl")
+        configure_observability(None)
+        assert not active_sink().enabled
+        assert TELEMETRY_ENV not in os.environ
 
 
 class TestManualLifecycle:
@@ -138,6 +179,19 @@ class TestEvents:
         assert evt["trace"] == outer["trace"]
         assert evt["parent"] == outer["span"]
         assert "span" not in evt            # point event, not a span
+
+    def test_bare_events_append_fields_and_worker(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        configure_observability(path)
+        event("train/classifier", duration_s=1.5, cache="miss", batch=64)
+        event("attack/ead", duration_s=0.25, kappa=10.0)
+        first, second = _read(path)
+        assert first["stage"] == "train/classifier"
+        assert first["duration_s"] == 1.5
+        assert first["cache"] == "miss"
+        assert first["batch"] == 64
+        assert isinstance(first["worker"], int)
+        assert second["stage"] == "attack/ead"
 
     def test_bare_event_is_flat(self, tmp_path):
         path = tmp_path / "t.jsonl"

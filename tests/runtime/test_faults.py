@@ -27,6 +27,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.obs import (
+    configure_observability,
+    load_events,
+    render_fault_summary,
+)
 from repro.runtime.executor import ParallelExecutor, parallel_map
 from repro.runtime.faults import (
     FaultPlan,
@@ -35,11 +40,6 @@ from repro.runtime.faults import (
     ItemFailure,
     RetryPolicy,
     corrupt_cache_entry,
-)
-from repro.runtime.telemetry import (
-    configure_telemetry,
-    load_events,
-    render_fault_summary,
 )
 from repro.utils.cache import DiskCache
 
@@ -324,14 +324,14 @@ class TestDeterminismUnderFaults:
 class TestFaultTelemetry:
     def test_retry_and_giveup_events_logged(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
-        configure_telemetry(path)
+        configure_observability(path)
         try:
             plan = FaultPlan(transients={0: 5, 2: 1})
             parallel_map(_double, [1, 2, 3], jobs=1, fault_plan=plan,
                          policy=RetryPolicy(retries=1, backoff_s=0.0),
                          on_error="record")
         finally:
-            configure_telemetry(None)
+            configure_observability(None)
         events = load_events(path)
         stages = [e["stage"] for e in events]
         assert "runtime/retry" in stages

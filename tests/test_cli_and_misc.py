@@ -1,5 +1,7 @@
 """Tests for the CLI entry point, logging setup, and context serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ class TestCli:
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
-            cli_main(["table99"])
+            cli_main(["run", "table99"])
 
 
 class TestLogging:
@@ -164,12 +166,12 @@ class TestArgparseCli:
         with pytest.raises(SystemExit):
             self._parser().parse_args(["run"])
 
-    def test_legacy_bare_id_aliases_run(self, capsys, monkeypatch):
-        """`python -m repro.experiments table99` still reaches run_experiment."""
-        from repro.experiments.__main__ import main as cli
-
-        with pytest.raises(KeyError):
-            cli(["table99", "--profile", "smoke"])
+    def test_bare_id_is_rejected(self, capsys):
+        """An experiment id is an argument of ``run``, not a command."""
+        with pytest.raises(SystemExit) as err:
+            cli_main(["table1", "--profile", "smoke"])
+        assert err.value.code == 2
+        assert "invalid choice: 'table1'" in capsys.readouterr().err
 
     def test_list_subcommand(self, capsys):
         assert cli_main(["list"]) == 0
@@ -183,11 +185,13 @@ class TestCliResolution:
         monkeypatch.setenv("REPRO_PROFILE", "paper")
         assert _resolve_profile("smoke").name == "smoke"
 
-    def test_profile_env_fallback_warns(self, monkeypatch):
+    def test_profile_env_resolves_without_warning(self, monkeypatch):
+        """An omitted --profile is the library default: current_profile()."""
         from repro.experiments.__main__ import _resolve_profile
 
         monkeypatch.setenv("REPRO_PROFILE", "smoke")
-        with pytest.warns(DeprecationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert _resolve_profile(None).name == "smoke"
 
     def test_profile_default_quick(self, monkeypatch):
@@ -203,13 +207,23 @@ class TestCliResolution:
         with pytest.raises(KeyError):
             _resolve_profile("warp")
 
-    def test_cache_dir_env_fallback_warns(self, monkeypatch):
-        from repro.experiments.__main__ import _resolve_cache_dir
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/legacy")
-        with pytest.warns(DeprecationWarning):
-            assert _resolve_cache_dir(None) == "/tmp/legacy"
-        assert _resolve_cache_dir("/tmp/flag") == "/tmp/flag"
+    def test_cache_dir_env_resolves_without_warning(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """An omitted --cache-dir is DiskCache's default root; the flag
+        wins over it."""
+        env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+        for root in (env_dir, flag_dir):
+            root.mkdir()
+            (root / "telemetry.jsonl").write_text(
+                '{"stage": "s", "duration_s": 1.0}\n')
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(env_dir))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["timings"]) == 0
+            assert str(env_dir / "telemetry.jsonl") in capsys.readouterr().out
+            assert cli_main(["timings", "--cache-dir", str(flag_dir)]) == 0
+            assert str(flag_dir / "telemetry.jsonl") in capsys.readouterr().out
 
     def test_telemetry_path_resolution(self, monkeypatch):
         from repro.experiments.__main__ import _telemetry_path

@@ -113,6 +113,40 @@ class TestDiskCache:
     def test_clear_missing_namespace(self, tmp_path):
         assert DiskCache(tmp_path).clear("ghost") == 0
 
+    def test_clear_namespace_keeps_shared_blobs_and_other_namespaces(
+            self, tmp_path):
+        cache = DiskCache(tmp_path)
+        shared = {"v": np.arange(8.0)}
+        cache.save("a", "k1", shared)
+        cache.save("a", "k2", {"v": np.ones(3)})
+        cache.save_json("a", "doc", {"x": 1})
+        cache.save("b", "k3", shared)             # dedups onto a/k1's blob
+        cache.save("c", "k4", {"v": np.zeros(2)})
+        cache.save_json("c", "doc", {"y": 2})
+        assert cache._path("b", "k3") == cache._path("a", "k1")
+
+        # a's two entry documents, k2's unshared blob and a's JSON doc.
+        assert cache.clear("a") == 4
+        assert not cache.contains("a", "k1")
+        assert not cache.contains("a", "k2")
+        with pytest.raises(KeyError):
+            cache.load_json("a", "doc")
+        np.testing.assert_array_equal(cache.load("b", "k3")["v"], shared["v"])
+        np.testing.assert_array_equal(cache.load("c", "k4")["v"], np.zeros(2))
+        assert cache.load_json("c", "doc") == {"y": 2}
+
+    def test_clear_namespace_reads_manifest_once(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        for i in range(4):
+            cache.save("a", f"k{i}", {"v": np.full(2, float(i))})
+        reads = []
+        entries = cache.store.entries
+        monkeypatch.setattr(cache.store, "entries",
+                            lambda *a: reads.append(a) or entries(*a))
+        cache.clear("a")
+        assert len(reads) == 1
+        assert entries() == []
+
     def test_overwrite_is_atomic_replacement(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.save("ns", "k", {"v": np.zeros(2)})
@@ -124,9 +158,8 @@ class TestCorruptionRecovery:
     """Unreadable entries must surface as misses, not crashes."""
 
     def _corrupt(self, cache, namespace, key, payload=b"\x00truncated"):
-        path = cache._path(namespace, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)
+        """Overwrite the stored blob of an existing key."""
+        cache._path(namespace, key).write_bytes(payload)
 
     def test_truncated_npz_raises_keyerror_and_is_removed(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -138,12 +171,14 @@ class TestCorruptionRecovery:
 
     def test_empty_file_treated_as_miss(self, tmp_path):
         cache = DiskCache(tmp_path)
+        cache.save("ns", "k", {"v": np.ones(4)})
         self._corrupt(cache, "ns", "k", payload=b"")
         with pytest.raises(KeyError):
             cache.load("ns", "k")
 
     def test_get_or_compute_rewrites_corrupt_entry(self, tmp_path):
         cache = DiskCache(tmp_path)
+        cache.save("ns", "k", {"v": np.full(2, 3.0)})
         self._corrupt(cache, "ns", "k")
         arrays = cache.get_or_compute("ns", "k",
                                       lambda: {"v": np.full(2, 3.0)})
@@ -161,6 +196,7 @@ class TestCorruptionRecovery:
 
     def test_stats_count_discards(self, tmp_path):
         cache = DiskCache(tmp_path)
+        cache.save("ns", "k", {"v": np.ones(4)})
         self._corrupt(cache, "ns", "k")
         with pytest.raises(KeyError):
             cache.load("ns", "k")

@@ -8,14 +8,12 @@ leans on:
   bytes never exceed the configured cap (absent pins);
 * LRU eviction never drops a pinned entry, no matter the pressure.
 
-The example-based tests cover the flat-layout migration path (read
-through + upgrade in place), corrupt-blob quarantine accounting, and
+The example-based tests cover corrupt-blob quarantine accounting and
 the per-shard resumable integrity scrub.
 """
 
 import json
 import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,55 +163,6 @@ class TestContentHash:
                 != content_hash({"x": x.astype(np.float64)}))
 
 
-class TestMigration:
-    """Flat-layout caches are read through and upgraded in place."""
-
-    def _build_flat(self, root: Path, n: int = 3):
-        flat = DiskCache(root, backend="flat")
-        payloads = {}
-        for i in range(n):
-            arrays = {"x": np.arange(10, dtype=np.float64) + i}
-            flat.save("attacks", f"cell{i}", arrays, meta={"cell": i})
-            payloads[f"cell{i}"] = arrays
-        return payloads
-
-    def test_read_through_upgrades_in_place(self, tmp_path):
-        payloads = self._build_flat(tmp_path)
-        cache = DiskCache(tmp_path)          # sharded default
-        arrays = cache.load("attacks", "cell1")
-        np.testing.assert_array_equal(arrays["x"], payloads["cell1"]["x"])
-        # The flat blob is gone, the sharded entry + blob exist.
-        assert not (tmp_path / "attacks" / "cell1.npz").exists()
-        assert cache.store.contains("attacks", "cell1")
-        assert cache.stats.migrated == 1
-        assert cache.stats.hits == 1
-        # Meta migrated into the store alongside the blob.
-        assert cache.load_meta("attacks", "cell1")["cell"] == 1
-        # Second read comes from the sharded layout.
-        again = cache.load("attacks", "cell1")
-        np.testing.assert_array_equal(again["x"], payloads["cell1"]["x"])
-        assert cache.stats.migrated == 1
-
-    def test_migrate_flat_bulk(self, tmp_path):
-        payloads = self._build_flat(tmp_path, n=4)
-        store = ShardedStore(tmp_path, shards=8)
-        assert store.migrate_flat() == 4
-        assert store.stats.migrated == 4
-        for key, arrays in payloads.items():
-            got = store.get("attacks", key)
-            np.testing.assert_array_equal(got["x"], arrays["x"])
-            assert not (tmp_path / "attacks" / f"{key}.npz").exists()
-
-    def test_unreadable_legacy_discarded(self, tmp_path):
-        self._build_flat(tmp_path, n=1)
-        (tmp_path / "attacks" / "cell0.npz").write_bytes(b"torn write")
-        cache = DiskCache(tmp_path)
-        with pytest.raises(KeyError):
-            cache.load("attacks", "cell0")
-        assert cache.stats.stale_discards == 1
-        assert not (tmp_path / "attacks" / "cell0.npz").exists()
-
-
 class TestQuarantine:
     def test_corrupt_blob_quarantined_with_stats(self, tmp_path):
         store = ShardedStore(tmp_path, shards=8)
@@ -290,20 +239,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             DiskCache(tmp_path, max_bytes=-1)
 
-    def test_flat_backend_rejects_max_bytes(self, tmp_path):
-        with pytest.raises(ValueError):
-            DiskCache(tmp_path, backend="flat", max_bytes=1024)
-
     def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DiskCache(tmp_path, backend="mystery")
+        """The sharded store is the only layout: no backend knob."""
+        for backend in ("flat", "sharded"):
+            with pytest.raises(TypeError, match="backend"):
+                DiskCache(tmp_path, backend=backend)
+
+    def test_unknown_key_has_no_artifact_path(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        with pytest.raises(KeyError):
+            cache._path("ns", "absent")
+        with pytest.raises(KeyError):
+            cache.store.artifact_path("ns", "absent")
 
     def test_stats_reset_covers_new_counters(self):
         stats = CacheStats(hits=2, dedup_hits=3, evictions=4,
-                           quarantined=5, migrated=6)
+                           quarantined=5)
         stats.reset()
         assert stats.as_dict()["dedup_hits"] == 0
-        assert stats.evictions == stats.quarantined == stats.migrated == 0
+        assert stats.evictions == stats.quarantined == 0
 
 
 class TestEvictionTelemetry:

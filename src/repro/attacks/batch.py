@@ -17,8 +17,7 @@ regardless of batch size.
 
 Lanes are independent, so running each example alone as a batch of one
 and stitching the results gives the same answer up to BLAS reduction
-order; the tests and ``benchmarks/bench_attacks.py`` use that lane loop
-as the reference the wide engine is checked against.
+order; the tests check the wide engine against that lane loop.
 """
 
 from __future__ import annotations

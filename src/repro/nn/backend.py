@@ -140,7 +140,7 @@ def flush_kernel_events() -> None:
 # Returned arrays match the input dtype and are C-contiguous.  ``bitwise``
 # declares the equivalence contract against the numpy reference: exact,
 # or within the declared ``rtol``/``atol`` (checked by the gradcheck
-# equivalence matrix and enforced by ``benchmarks/bench_nn.py``).
+# equivalence matrix and by ``tests/nn/test_backend.py``).
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     if not padding:

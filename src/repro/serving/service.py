@@ -40,7 +40,7 @@ report the counters and latency percentiles.
 Determinism: every executor runs the *same* ``decide_batch`` on the
 *same* stacked float32 batch as the offline path, so served verdicts
 are bitwise-identical to offline evaluation for identical batch
-composition — asserted by the test suite and ``bench_serving.py``.
+composition — asserted by the test suite.
 """
 
 from __future__ import annotations

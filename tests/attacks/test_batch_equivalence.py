@@ -14,6 +14,13 @@ stitched in order):
   independent, and subset compaction is exactly what the engine does
   internally once lanes freeze.
 
+The batched engine must also amortise model dispatches: the per-example
+reference issues about ``batch`` times as many ``attack/dispatches``
+as one batched call (``DISPATCH_RATIO_FLOOR`` x batch; early abort trims
+lanes asymmetrically, so the ratio can dip a little under batch).  The
+count is host-independent, unlike a wall-clock speedup, which also
+depends on how many cores BLAS gets for the wide GEMMs.
+
 Plus property tests that frozen lanes are bit-stable once their mask
 clears (``MaskedLanes`` unit level and engine level via early abort).
 """
@@ -28,6 +35,7 @@ from repro.attacks import (
     MaskedLanes,
     logits_of,
 )
+from repro.obs import counter
 from tests.attacks.reference import lanewise_attack, lanewise_attack_both
 
 # Documented engine tolerance: per-example runs use batch-1 model
@@ -38,12 +46,32 @@ ATOL_NORM = 1e-3
 
 SMOKE = dict(binary_search_steps=3, max_iterations=50, initial_const=1.0)
 
+#: Per-example / batched dispatch ratio floor, as a fraction of the batch.
+DISPATCH_RATIO_FLOOR = 0.75
+
 
 @pytest.fixture(scope="module")
 def seeds(tiny_classifier, tiny_splits):
     preds = logits_of(tiny_classifier, tiny_splits.test.x).argmax(1)
     idx = np.flatnonzero(preds == tiny_splits.test.y)[:8]
     return tiny_splits.test.x[idx], tiny_splits.test.y[idx]
+
+
+def _dispatches(run, *args):
+    """``run(*args)`` and the ``attack/dispatches`` it issued."""
+    dispatches = counter("attack/dispatches")
+    before = dispatches.value
+    result = run(*args)
+    return result, dispatches.value - before
+
+
+def _assert_amortised(batched_dispatches, lanewise_dispatches, batch):
+    assert batched_dispatches > 0
+    ratio = lanewise_dispatches / batched_dispatches
+    assert ratio >= DISPATCH_RATIO_FLOOR * batch, (
+        f"per-example/batched dispatch ratio {ratio:.1f} below "
+        f"{DISPATCH_RATIO_FLOOR} x batch ({batch}): the masked engine is "
+        "not amortising model dispatches")
 
 
 def _assert_equivalent(batched, lanewise):
@@ -64,9 +92,10 @@ class TestCWEquivalence:
         x0, y0 = seeds
         attack = CarliniWagnerL2(tiny_classifier, kappa=kappa, lr=5e-2,
                                  **SMOKE)
-        batched = attack.attack(x0, y0)
-        lanewise = lanewise_attack(attack, x0, y0)
+        batched, wide = _dispatches(attack.attack, x0, y0)
+        lanewise, per_lane = _dispatches(lanewise_attack, attack, x0, y0)
         _assert_equivalent(batched, lanewise)
+        _assert_amortised(wide, per_lane, len(x0))
 
     def test_subset_is_bitwise(self, tiny_classifier, seeds):
         """Lane independence: a subset batch reproduces full-batch rows
@@ -95,10 +124,11 @@ class TestEADEquivalence:
         x0, y0 = seeds
         attack = EAD(tiny_classifier, beta=1e-1, kappa=kappa, lr=1e-2,
                      **SMOKE)
-        batched = attack.attack_both(x0, y0)
-        lanewise = lanewise_attack_both(attack, x0, y0)
+        batched, wide = _dispatches(attack.attack_both, x0, y0)
+        lanewise, per_lane = _dispatches(lanewise_attack_both, attack, x0, y0)
         for rule in DECISION_RULES:
             _assert_equivalent(batched[rule], lanewise[rule])
+        _assert_amortised(wide, per_lane, len(x0))
 
     def test_subset_is_bitwise(self, tiny_classifier, seeds):
         x0, y0 = seeds

@@ -201,6 +201,92 @@ class TestEdgeHandling:
 
 
 # ----------------------------------------------------------------------
+# fft against numpy on the paper's workloads
+# ----------------------------------------------------------------------
+
+#: Scale-relative bound for one fft dispatch: max|a - ref| <= this x
+#: max|ref|.  The float32 error grows ~sqrt(K) with the accumulation
+#: length K = Ci*kh*kw; 2e-3 covers the paper's K = 2304 with margin.
+FFT_GATE_RTOL = 2e-3
+
+#: The paper profile's AE conv trio at batch 1: (ci, co) at 28x28, 3x3
+#: same padding.
+PAPER_AE_CONVS = {"conv_1_256": (1, 256), "conv_256_256": (256, 256),
+                  "conv_256_1": (256, 1)}
+
+
+class TestFftAgainstNumpy:
+    """Single dispatches are held to a tight bound; iterated trajectories
+    (training, attacks) only to aggregate agreement, because per-step
+    tolerance error compounds and can flip borderline attack successes
+    (docs/nn_backends.md)."""
+
+    @pytest.mark.parametrize("ci,co", PAPER_AE_CONVS.values(),
+                             ids=PAPER_AE_CONVS.keys())
+    def test_paper_ae_conv_within_gate(self, ci, co):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, ci, 28, 28)).astype(np.float32)
+        w = (rng.standard_normal((co, ci, 3, 3)).astype(np.float32)
+             / np.sqrt(ci * 9))
+        b = rng.standard_normal(co).astype(np.float32)
+        passes = {}
+        for name in ("numpy", "fft"):
+            kernel = KERNELS[name]
+            out, ctx = kernel.conv2d_forward(x, w, b, 1, 1, 1,
+                                             needs_grad=True)
+            g = np.random.default_rng(1).standard_normal(
+                out.shape).astype(np.float32)
+            passes[name] = {"out": out,
+                            "gx": kernel.conv2d_backward_input(ctx, g),
+                            "gw": kernel.conv2d_backward_weight(ctx, g)}
+        for field, ref in passes["numpy"].items():
+            err = np.abs(passes["fft"][field] - ref).max() / np.abs(ref).max()
+            assert err <= FFT_GATE_RTOL, f"{field}: rel err {err:.2e}"
+
+    def test_ae_epoch_loss_within_one_percent(self):
+        from repro.nn import Conv2D, Sequential, Sigmoid, Trainer
+
+        x = np.random.default_rng(3).random((8, 1, 28, 28)).astype(np.float32)
+        losses = {}
+        for name in ("numpy", "fft"):
+            model = Sequential(
+                Conv2D(1, 32, 3, rng=np.random.default_rng(10),
+                       conv_kernel=name), Sigmoid(),
+                Conv2D(32, 1, 3, rng=np.random.default_rng(11),
+                       conv_kernel=name), Sigmoid())
+            losses[name] = Trainer(model, loss="mse", seed=0).fit(
+                x, None, epochs=1, batch_size=4,
+                verbose=False).final_train_loss
+        assert losses["fft"] == pytest.approx(losses["numpy"], rel=1e-2)
+
+    def test_ead_outcomes_agree(self, tiny_classifier, tiny_splits):
+        import copy
+
+        from repro.attacks import EAD, logits_of
+        from repro.nn.layers import set_conv_kernel
+
+        preds = logits_of(tiny_classifier, tiny_splits.test.x).argmax(1)
+        idx = np.flatnonzero(preds == tiny_splits.test.y)[:4]
+        x0, y0 = tiny_splits.test.x[idx], tiny_splits.test.y[idx]
+        models = {"numpy": tiny_classifier,
+                  "fft": set_conv_kernel(copy.deepcopy(tiny_classifier),
+                                         "fft")}
+        # At 10 iterations a const near 100 is needed for any success.
+        results = {name: EAD(model, beta=1e-1, kappa=0.0,
+                             binary_search_steps=1, max_iterations=10,
+                             initial_const=100.0).attack(x0, y0)
+                   for name, model in models.items()}
+        ref, got = results["numpy"], results["fft"]
+        # Without a reference success the L1 check below is vacuous.
+        assert ref.success.any()
+        assert (got.success == ref.success).mean() >= 0.9
+        both = got.success & ref.success
+        assert both.any()
+        ref_l1 = float(ref.l1[both].mean())
+        assert abs(float(got.l1[both].mean()) - ref_l1) <= 0.25 * ref_l1
+
+
+# ----------------------------------------------------------------------
 # Dispatch metering
 # ----------------------------------------------------------------------
 

@@ -4,7 +4,9 @@ The acceptance bar for the runtime: a sweep fanned out across worker
 processes must produce *bitwise-identical* artifacts to the serial path,
 because workers get the same classifier, the same seeds, and attacks are
 deterministic.  Hashes are compared via :func:`stable_hash` over the
-cached result arrays.
+cached result arrays.  Tracing is held to the same bar: a sweep run with
+the observability sink on publishes the same artifacts as one with it
+off.
 """
 
 import pytest
@@ -78,6 +80,30 @@ class TestParallelSerialEquivalence:
                                             jobs=2)
         assert summary["computed"] == 0
         assert summary["cached"] == 2
+
+
+class TestTracingInvariance:
+    def test_traced_sweep_is_bitwise_identical_to_untraced(self, smoke_ctx,
+                                                           tmp_path):
+        from repro.obs import configure_observability, load_events
+
+        ctx = smoke_ctx
+        sweeps.precompute_attacks(ctx, kappas=KAPPAS, betas=BETAS, jobs=1)
+        untraced = _grid_hashes(ctx)
+
+        _clear_attacks(ctx)
+        trace_path = tmp_path / "trace.jsonl"
+        configure_observability(trace_path)
+        try:
+            summary = sweeps.precompute_attacks(ctx, kappas=KAPPAS,
+                                                betas=BETAS, jobs=1)
+        finally:
+            configure_observability(None)
+        assert summary["computed"] == 2
+        # The sink really was on: the crafted cells left attack spans.
+        stages = {event["stage"] for event in load_events(trace_path)}
+        assert {"attack/cw_l2", "attack/ead"} <= stages
+        assert _grid_hashes(ctx) == untraced
 
 
 class TestAttackGrid:

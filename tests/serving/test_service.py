@@ -355,6 +355,41 @@ class TestInferenceService:
             toy_magnet.decide_batch(_inputs(1)).labels_reformed[0])
 
 
+#: Closed-loop micro-batching floor: mean requests per batch with
+#: CLOSED_LOOP_CLIENTS clients against max_batch=CLOSED_LOOP_CLIENTS.
+COALESCING_FLOOR = 3.0
+CLOSED_LOOP_CLIENTS = 32
+
+
+class TestMicroBatchCoalescing:
+    def test_closed_loop_clients_coalesce(self, toy_magnet):
+        """32 clients, each sending its next request only after its last
+        verdict, must share batches: a batch count, not a wall-clock
+        speedup, so the floor does not move with the host's cores."""
+        requests_per_client = 20
+        xs = _inputs(CLOSED_LOOP_CLIENTS * requests_per_client, seed=13)
+        config = ServingConfig(max_batch=CLOSED_LOOP_CLIENTS, max_wait_ms=5,
+                               max_queue=512)
+
+        def client(k):
+            for x in xs[k::CLOSED_LOOP_CLIENTS]:
+                service.predict(x, timeout=60)
+
+        with InferenceService(toy_magnet, config) as service:
+            threads = [threading.Thread(target=client, args=(k,))
+                       for k in range(CLOSED_LOOP_CLIENTS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            snap = service.stats_snapshot()
+        # A failed request ends its client early, so this also catches
+        # errors raised inside the client threads.
+        assert snap["requests"]["completed"] == len(xs)
+        assert snap["batches"]["mean_size"] >= COALESCING_FLOOR, snap[
+            "batches"]
+
+
 # The same contract, served by one worker process.
 class TestPredictProcesses(TestPredict):
     workers = 1

@@ -2,12 +2,15 @@
 
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
 
 def _load(script_name: str):
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / script_name
+    path = REPO_ROOT / "scripts" / script_name
     spec = importlib.util.spec_from_file_location(script_name[:-3], path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -57,3 +60,12 @@ class TestExperimentsMdGenerator:
         gen = _load("generate_experiments_md.py")
         assert set(gen.ORDER) == set(gen.PAPER.keys())
         assert len(gen.ORDER) == 20
+
+    def test_preamble_matches_committed_experiments_md(self):
+        """The generator is the one source of EXPERIMENTS.md's preamble:
+        regenerating must not rewrite the committed text."""
+        gen = _load("generate_experiments_md.py")
+        text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+        head = text[:text.index("## table1")]
+        profile = re.search(r"Profile: `([^`]+)`", head).group(1)
+        assert "\n".join(gen.preamble(profile)) + "\n" == head

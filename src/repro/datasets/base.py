@@ -8,7 +8,7 @@ All images in the library are float32 NCHW arrays with pixel values in
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class Dataset:
         return self.subset(order)
 
 
+_PARTS = ("train", "val", "test")
+
+
 @dataclasses.dataclass
 class DataSplits:
     """Train / validation / test splits of one synthetic dataset.
@@ -84,6 +87,23 @@ class DataSplits:
         c, h, w = self.image_shape
         return (f"{self.name}: {len(self.train)} train / {len(self.val)} val / "
                 f"{len(self.test)} test, {c}x{h}x{w}, {self.num_classes} classes")
+
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """Flat name -> ndarray form (names as 0-d str arrays) for a store."""
+        arrays = {"name": np.array(self.name)}
+        for part in _PARTS:
+            ds = getattr(self, part)
+            arrays.update({f"{part}_x": ds.x, f"{part}_y": ds.y,
+                           f"{part}_name": np.array(ds.name)})
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "DataSplits":
+        """Inverse of :meth:`to_arrays`; pixels and labels come back bitwise."""
+        parts = {part: Dataset(arrays[f"{part}_x"], arrays[f"{part}_y"],
+                               name=str(arrays[f"{part}_name"]))
+                 for part in _PARTS}
+        return cls(**parts, name=str(arrays["name"]))
 
 
 def stratified_indices(labels: np.ndarray, per_class: int,

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.rng import rng_from_seed
 
@@ -40,6 +39,8 @@ def gaussian_noise(x: np.ndarray, severity: int,
 def gaussian_blur(x: np.ndarray, severity: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Isotropic blur of the spatial axes."""
+    from scipy import ndimage
+
     x = _check(x, severity)
     sigma = [0.4, 0.7, 1.0, 1.5, 2.0][severity - 1]
     return ndimage.gaussian_filter(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 Point = Tuple[float, float]
 
@@ -74,6 +73,8 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Blur trailing spatial axes; channels (leading axes) are independent."""
     if sigma <= 0:
         return image
+    from scipy import ndimage
+
     pad = [0] * (image.ndim - 2) + [sigma, sigma]
     return ndimage.gaussian_filter(image, sigma=pad).astype(np.float32)
 
@@ -95,6 +96,8 @@ def soft_mask(signed_distance: np.ndarray, edge: float) -> np.ndarray:
 def perlin_like_texture(size: int, rng: np.random.Generator,
                         octaves: int = 3, base_scale: int = 4) -> np.ndarray:
     """Cheap multi-octave value noise in [0, 1] for object backgrounds."""
+    from scipy import ndimage
+
     texture = np.zeros((size, size), dtype=np.float64)
     amplitude, total = 1.0, 0.0
     scale = base_scale

@@ -25,11 +25,6 @@ import numpy as np
 from repro.nn.layers import Module
 from repro.nn.training import predict_logits
 
-#: Rows per forward chunk for every MagNet consumer: equal to
-#: ``predict_logits``' default, so a shared forward and a standalone
-#: ``predict_labels`` see the same chunks and agree bitwise.
-FORWARD_BATCH = 256
-
 #: A forward chain: modules applied in order to the batch, e.g. ``(ae,)``
 #: is ``AE(x)``, ``(clf,)`` is ``clf(x)`` and ``(ae, clf)`` is
 #: ``clf(AE(x))``.
@@ -45,8 +40,10 @@ def _key(chain: Chain) -> Tuple[int, ...]:
 class ForwardMemo:
     """One batch's no-grad forwards, each distinct chain run at most once.
 
-    A chain is computed on its first read, in ``FORWARD_BATCH``-row
-    chunks, from its memoized prefix.  When ``reads`` lists every read
+    A chain is computed on its first read, in
+    :data:`~repro.nn.training.INFERENCE_BATCH`-row chunks (``predict_logits``'
+    default, so a shared forward and a standalone ``predict_labels`` agree
+    bitwise), from its memoized prefix.  When ``reads`` lists every read
     the caller will make (repeats included), an entry is dropped right
     after its last read, so a pass holds only the arrays still to be
     consumed; chains outside ``reads`` stay until the memo is discarded.
@@ -72,7 +69,7 @@ class ForwardMemo:
         value = self._values.get(key)
         if value is None:
             inputs = self.get(chain[:-1]) if len(chain) > 1 else self.x
-            value = predict_logits(chain[-1], inputs, FORWARD_BATCH)
+            value = predict_logits(chain[-1], inputs)
             self._values[key] = value
         if key in self._left:
             self._left[key] -= 1

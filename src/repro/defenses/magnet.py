@@ -78,8 +78,10 @@ class MagNet:
     detectors, the reformer and the classifier: ``AE(x)`` per distinct
     autoencoder, ``clf(x)``, and ``clf(AE(x))`` per autoencoder that a
     JSD detector or the reformer reads.  Forwards are chunked at
-    :data:`~repro.defenses.detectors.FORWARD_BATCH` rows, so every score,
-    threshold, flag and label equals what each consumer computes alone.
+    :data:`~repro.nn.training.INFERENCE_BATCH` rows, so every score,
+    threshold, flag and label equals what each consumer computes alone,
+    and a pass's peak memory does not grow with the batch beyond its
+    O(N) outputs.
     """
 
     def __init__(self, classifier: Module, detectors: Sequence[Detector],

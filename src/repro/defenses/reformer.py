@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.defenses.detectors import FORWARD_BATCH
 from repro.nn.layers import Module
 from repro.nn.training import predict_logits
 
@@ -31,7 +30,7 @@ class Reformer:
         x = np.asarray(x, dtype=np.float32)
         if x.shape[0] == 0:
             return x.copy()
-        return clip_pixels(predict_logits(self.autoencoder, x, FORWARD_BATCH))
+        return clip_pixels(predict_logits(self.autoencoder, x))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.reform(x)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from repro.defenses.detectors import Detector
 from repro.nn.autograd import Tensor, no_grad
@@ -44,6 +43,8 @@ def median_smoothing(x: np.ndarray, kernel: int) -> np.ndarray:
     """Per-channel 2-D median filter over NCHW images."""
     if kernel < 2:
         raise ValueError(f"kernel must be >= 2, got {kernel}")
+    from scipy import ndimage
+
     x = np.asarray(x, dtype=np.float32)
     size = (1, 1, kernel, kernel)
     return ndimage.median_filter(x, size=size, mode="reflect").astype(np.float32)

@@ -5,11 +5,17 @@ out every artifact the table/figure experiments need.  Adversarial
 examples are crafted against the *undefended* (scaled) classifier only —
 the oblivious threat model — and cached on disk keyed by the classifier
 fingerprint and the full attack configuration, so the ~20 experiments
-share one pool of attack sweeps.
+share one pool of attack sweeps.  The generated train/val/test splits
+are stored too (namespace ``datasets``), so a context over a store that
+already holds them loads its data instead of rendering it.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import importlib.metadata
+from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -74,6 +80,42 @@ def _result_from_arrays(arrays: Dict[str, np.ndarray], name: str) -> AttackResul
     )
 
 
+def _version(dist: str) -> Optional[str]:
+    try:
+        return importlib.metadata.version(dist)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
+@functools.lru_cache(maxsize=None)
+def generator_digest() -> str:
+    """Digest of what generated pixels depend on besides their arguments.
+
+    That is the source of every :mod:`repro.datasets` module and of
+    :mod:`repro.utils.rng`, and the numpy and scipy versions (read from
+    package metadata, so scipy is not imported).  Editing a generator
+    therefore invalidates the stored splits instead of serving stale
+    pixels.
+    """
+    import repro.datasets
+    import repro.utils.rng
+
+    sources = sorted(Path(repro.datasets.__file__).parent.glob("*.py"))
+    sources.append(Path(repro.utils.rng.__file__))
+    return stable_hash({
+        "sources": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in sources},
+        "numpy": _version("numpy"),
+        "scipy": _version("scipy"),
+    })
+
+
+def splits_key(dataset: str, sizes: Tuple[int, int, int], seed: int) -> str:
+    """Store key (namespace ``datasets``) of one dataset's generated splits."""
+    return stable_hash({"dataset": dataset, "sizes": [int(n) for n in sizes],
+                        "seed": int(seed), "generator": generator_digest()})
+
+
 class ExperimentContext:
     """One dataset + one profile: everything the experiments consume."""
 
@@ -111,13 +153,25 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     @property
     def splits(self) -> DataSplits:
+        """The train/val/test splits: loaded from the store, else generated
+        and stored.  Loaded splits are bitwise equal to generated ones."""
         if self._splits is None:
-            n_train, n_val, n_test = self.profile.sizes(self.dataset)
-            loader = load_digit_splits if self.dataset == "digits" else load_object_splits
-            log.info("generating %s splits (%d/%d/%d)", self.dataset,
-                     n_train, n_val, n_test)
-            self._splits = loader(n_train=n_train, n_val=n_val, n_test=n_test,
-                                  seed=self.seed)
+            sizes = self.profile.sizes(self.dataset)
+            key = splits_key(self.dataset, sizes, self.seed)
+            try:
+                self._splits = DataSplits.from_arrays(
+                    self.cache.load("datasets", key))
+            except KeyError:
+                n_train, n_val, n_test = sizes
+                loader = (load_digit_splits if self.dataset == "digits"
+                          else load_object_splits)
+                log.info("generating %s splits (%d/%d/%d)", self.dataset,
+                         n_train, n_val, n_test)
+                self._splits = loader(n_train=n_train, n_val=n_val,
+                                      n_test=n_test, seed=self.seed)
+                self.cache.save("datasets", key, self._splits.to_arrays(),
+                                meta={"dataset": self.dataset,
+                                      "sizes": list(sizes), "seed": self.seed})
         return self._splits
 
     @property

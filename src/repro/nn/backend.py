@@ -33,17 +33,12 @@ telemetry JSONL so ``repro-experiments timings`` can attribute conv time.
 
 from __future__ import annotations
 
+import functools
 import threading
 from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
-
-
-try:  # scipy's pocketfft keeps float32 in complex64; numpy.fft promotes.
-    from scipy import fft as _scipy_fft
-except ImportError:  # pragma: no cover - scipy is part of the toolchain
-    _scipy_fft = None
 
 __all__ = [
     "FFTBackend",
@@ -247,6 +242,21 @@ class NumpyBackend:
         return gw.reshape(co, ci, kh, kw)
 
 
+@functools.lru_cache(maxsize=None)
+def _fft_module():
+    """``scipy.fft``, imported on the first fft dispatch, else ``numpy.fft``.
+
+    scipy's pocketfft keeps float32 in complex64; numpy.fft promotes.
+    Importing scipy costs a process ~27 MB, so a process that never
+    runs the fft kernel never pays it.
+    """
+    try:
+        from scipy import fft
+    except ImportError:  # pragma: no cover - scipy is part of the toolchain
+        return np.fft
+    return fft
+
+
 class FFTBackend:
     """Frequency-domain convolution for wide-channel workloads.
 
@@ -287,17 +297,12 @@ class FFTBackend:
 
     @staticmethod
     def _rfft2(a: np.ndarray, s: Tuple[int, int]) -> np.ndarray:
-        if _scipy_fft is not None:
-            return _scipy_fft.rfft2(a, s=s, axes=(-2, -1))
-        return np.fft.rfft2(a, s=s, axes=(-2, -1))
+        return _fft_module().rfft2(a, s=s, axes=(-2, -1))
 
     @staticmethod
     def _irfft2(a: np.ndarray, s: Tuple[int, int], dtype: np.dtype,
                 axes: Tuple[int, int] = (-2, -1)) -> np.ndarray:
-        if _scipy_fft is not None:
-            out = _scipy_fft.irfft2(a, s=s, axes=axes)
-        else:
-            out = np.fft.irfft2(a, s=s, axes=axes)
+        out = _fft_module().irfft2(a, s=s, axes=axes)
         return out.astype(dtype, copy=False)
 
     @staticmethod

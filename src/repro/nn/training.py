@@ -24,6 +24,14 @@ from repro.utils.rng import rng_from_seed
 
 log = get_logger(__name__)
 
+#: Rows per no-grad forward chunk for every inference pass
+#: (:func:`predict_logits` and its callers, MagNet's shared forwards and
+#: reformer).  Equal to the serving ``max_batch``, so offline passes run
+#: the batch shape serving runs, and each chunk's conv intermediates stay
+#: small.  BLAS may pick kernels by shape, so consumers that must agree
+#: bitwise all chunk at this one constant.
+INFERENCE_BATCH = 32
+
 
 def iterate_minibatches(x: np.ndarray, y: Optional[np.ndarray], batch_size: int,
                         rng: Optional[np.random.Generator] = None,
@@ -169,7 +177,11 @@ class Trainer:
 
     def evaluate_loss(self, x: np.ndarray, y: Optional[np.ndarray],
                       batch_size: int = 256) -> float:
-        """Mean loss over a dataset without building graphs."""
+        """Mean loss over a dataset without building graphs.
+
+        The chunking weights the mean, so ``batch_size`` stays at 256:
+        it defines the validation loss stored with trained models.
+        """
         losses, weights = [], []
         with no_grad():
             for xb, yb in iterate_minibatches(x, y, batch_size, shuffle=False):
@@ -180,8 +192,9 @@ class Trainer:
         return float(np.average(losses, weights=weights))
 
 
-def predict_logits(model: Module, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Forward a dataset in batches without graph construction."""
+def predict_logits(model: Module, x: np.ndarray,
+                   batch_size: int = INFERENCE_BATCH) -> np.ndarray:
+    """Forward a dataset in ``batch_size``-row chunks without graph construction."""
     outs = []
     with no_grad():
         for start in range(0, x.shape[0], batch_size):
@@ -189,7 +202,8 @@ def predict_logits(model: Module, x: np.ndarray, batch_size: int = 256) -> np.nd
     return np.concatenate(outs, axis=0) if outs else np.zeros((0,))
 
 
-def predict_labels(model: Module, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict_labels(model: Module, x: np.ndarray,
+                   batch_size: int = INFERENCE_BATCH) -> np.ndarray:
     """Argmax class predictions (empty int64 array for an empty batch)."""
     if np.asarray(x).shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
@@ -197,7 +211,7 @@ def predict_labels(model: Module, x: np.ndarray, batch_size: int = 256) -> np.nd
 
 
 def accuracy(model: Module, x: np.ndarray, y: np.ndarray,
-             batch_size: int = 256) -> float:
+             batch_size: int = INFERENCE_BATCH) -> float:
     """Top-1 accuracy of a classifier on (x, y)."""
     preds = predict_labels(model, x, batch_size)
     return float((preds == np.asarray(y)).mean())

@@ -8,6 +8,7 @@ tests never touch the repo-level .repro_cache.
 from __future__ import annotations
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -58,6 +59,26 @@ def tiny_ae_spec():
 def tiny_autoencoder(tiny_zoo, tiny_ae_spec):
     """A small digits autoencoder trained once per session."""
     return tiny_zoo.autoencoder(tiny_ae_spec)
+
+
+@pytest.fixture(scope="session")
+def smoke_context(tmp_path_factory):
+    """Factory: a smoke-profile digits context (seed 0) over a private
+    copy, at ``root``, of one store that holds its splits, classifier and
+    default-MagNet autoencoders, trained once per session.  A module
+    that sweeps or clears its store loads those models, never retrains."""
+    from repro.experiments import SMOKE, ExperimentContext
+
+    smoke_store = tmp_path_factory.mktemp("smoke_store")
+    ExperimentContext("digits", profile=SMOKE, cache=DiskCache(smoke_store),
+                      seed=0).magnet("default")
+
+    def make(root):
+        shutil.copytree(smoke_store, root, dirs_exist_ok=True)
+        return ExperimentContext("digits", profile=SMOKE,
+                                 cache=DiskCache(root), seed=0)
+
+    return make
 
 
 @pytest.fixture(scope="session")

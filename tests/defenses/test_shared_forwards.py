@@ -10,6 +10,8 @@ forward-count gate pins how many module forwards a pass may run.
 from __future__ import annotations
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,18 +30,25 @@ from repro.experiments import SMOKE, ExperimentContext
 from repro.nn import Module, Tensor
 from repro.nn.autograd import no_grad
 from repro.nn.layers import Dense, Sequential, Sigmoid
+from repro.nn.training import INFERENCE_BATCH
 from repro.serving.smoke import DIM, build_toy_magnet
 
 
 # ----------------------------------------------------------------------
-# Oracle: every consumer runs its own forwards, 256 rows per chunk
+# Oracle: every consumer runs its own forwards, INFERENCE_BATCH rows per
+# chunk
 # ----------------------------------------------------------------------
 def _forward(module, x):
     outs = []
     with no_grad():
-        for start in range(0, x.shape[0], 256):
-            outs.append(module(Tensor(x[start:start + 256])).data)
+        for start in range(0, x.shape[0], INFERENCE_BATCH):
+            outs.append(module(Tensor(x[start:start + INFERENCE_BATCH])).data)
     return np.concatenate(outs, axis=0)
+
+
+def _chunks(n):
+    """Forward chunks of an ``n``-row pass."""
+    return math.ceil(n / INFERENCE_BATCH)
 
 
 def _softmax(logits, temperature):
@@ -175,8 +184,9 @@ class _ZooCase:
 ZOO_VARIANTS = ([("digits", v) for v in MNIST_VARIANTS]
                 + [("objects", v) for v in CIFAR_VARIANTS])
 
-#: Module forwards per pass: (decide_batch, calibrate).  Digits: AE-I,
-#: AE-II, clf(x), clf(AE-I(x)).  Objects: AE, clf(x), clf(AE(x)).
+#: Distinct module forwards per pass: (decide_batch, calibrate); each
+#: runs once per chunk.  Digits: AE-I, AE-II, clf(x), clf(AE-I(x)).
+#: Objects: AE, clf(x), clf(AE(x)).
 FORWARDS = {
     ("digits", "default"): (4, 2),
     ("digits", "wide"): (4, 2),
@@ -230,19 +240,49 @@ class TestZooVariants:
         spy = _ForwardSpy(monkeypatch, _modules(magnet))
         x = _batch(zoo_case.x_test, 32)
         thresholds = [det.threshold for det in magnet.detectors]
-        assert spy.count(magnet.decide_batch, x) == per_decide
-        assert spy.count(magnet.decide, x) == per_decide
-        assert spy.count(magnet.calibrate, zoo_case.x_val,
-                         zoo_case.fpr_total) == per_calibrate
+        assert spy.count(magnet.decide_batch, x) == per_decide * _chunks(32)
+        assert spy.count(magnet.decide, x) == per_decide * _chunks(32)
+        assert (spy.count(magnet.calibrate, zoo_case.x_val,
+                          zoo_case.fpr_total)
+                == per_calibrate * _chunks(len(zoo_case.x_val)))
         assert [det.threshold for det in magnet.detectors] == thresholds
 
 
 def test_chunked_batch_matches_oracle(tiny_zoo):
-    """A batch over 256 rows is forwarded in the same chunks as the oracle."""
+    """A batch of several chunks and a ragged tail is forwarded in the
+    same chunks as the oracle."""
     magnet = build_magnet(tiny_zoo, "digits", "jsd", ae_epochs=8,
                           fpr_total=0.01)
-    x = _batch(np.concatenate([tiny_zoo.splits.test.x] * 2), 300)
+    n = 3 * INFERENCE_BATCH + 7
+    x = _batch(np.concatenate([tiny_zoo.splits.test.x] * 2), n)
+    assert _chunks(n) > 3 and n % INFERENCE_BATCH
     _assert_matches_oracle(magnet, x)
+
+
+def _decide_peak(magnet, x):
+    """Peak bytes traced while ``decide_batch`` runs on ``x``."""
+    tracemalloc.start()
+    try:
+        magnet.decide_batch(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decide_batch_peak_memory_is_chunk_bounded(tiny_zoo):
+    """Eight chunks peak no higher than one chunk plus the O(N) arrays a
+    pass keeps: per extra row, a few image-sized forward outputs (AE-I,
+    AE-II, the reformed copy, and their concatenations), well under the
+    per-row conv intermediates an unchunked forward would hold."""
+    magnet = build_magnet(tiny_zoo, "digits", "default", ae_epochs=8,
+                          fpr_total=0.01)
+    pool = np.concatenate([tiny_zoo.splits.test.x] * 2)
+    one = _batch(pool, INFERENCE_BATCH)
+    eight = _batch(pool, 8 * INFERENCE_BATCH)
+    _decide_peak(magnet, one)                  # warm one-off allocations
+    row_bytes = one[0].nbytes
+    budget = 8 * row_bytes * (len(eight) - len(one))
+    assert _decide_peak(magnet, eight) <= _decide_peak(magnet, one) + budget
 
 
 # ----------------------------------------------------------------------

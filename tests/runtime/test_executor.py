@@ -66,7 +66,7 @@ class TestParallelPath:
         parallel = parallel_map(_square, range(25), jobs=3)
         assert parallel == serial
 
-    def test_order_preserved_with_chunking(self):
+    def test_order_preserved_with_per_item_dispatch(self):
         items = list(range(17))
         out = parallel_map(_square, items, jobs=2)
         assert out == [x * x for x in items]
@@ -132,7 +132,7 @@ def _slow_square(x):
     return x * x
 
 
-class TestWorkStealing:
+class TestPerItemDispatch:
     """jobs>1 dispatch, one item per pool future: whichever worker frees
     up first takes the next item, so a straggler holds up only its own
     worker — without changing a result."""

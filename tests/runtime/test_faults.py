@@ -394,11 +394,8 @@ SWEEP_POLICY = RetryPolicy(retries=2, backoff_s=0.01)
 
 
 @pytest.fixture(scope="module")
-def sweep_ctx(tmp_path_factory):
-    from repro.experiments import SMOKE, ExperimentContext
-
-    cache = DiskCache(tmp_path_factory.mktemp("fault_sweep_cache"))
-    return ExperimentContext("digits", profile=SMOKE, cache=cache, seed=0)
+def sweep_ctx(smoke_context, tmp_path_factory):
+    return smoke_context(tmp_path_factory.mktemp("fault_sweep_cache"))
 
 
 def _grid_hashes(ctx):

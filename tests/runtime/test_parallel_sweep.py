@@ -20,12 +20,9 @@ BETAS = [1e-1]
 
 
 @pytest.fixture(scope="module")
-def smoke_ctx(tmp_path_factory):
-    # Hermetic cache for this module; model training happens once here.
-    from repro.utils.cache import DiskCache
-
-    cache = DiskCache(tmp_path_factory.mktemp("sweep_cache"))
-    return ExperimentContext("digits", profile=SMOKE, cache=cache, seed=0)
+def smoke_ctx(smoke_context, tmp_path_factory):
+    # This module's own copy of the session's trained smoke store.
+    return smoke_context(tmp_path_factory.mktemp("sweep_cache"))
 
 
 def _grid_hashes(ctx):

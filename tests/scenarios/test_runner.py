@@ -7,7 +7,6 @@ import pytest
 
 from repro.attacks import logits_of
 from repro.defenses import JSDDetector, MagNet, ReconstructionDetector, Reformer
-from repro.experiments import SMOKE, ExperimentContext
 from repro.scenarios import (
     Scenario,
     ScenarioRegistry,
@@ -23,7 +22,6 @@ from repro.scenarios.runner import (
     build_craft_model,
     missing_cells,
 )
-from repro.utils.cache import DiskCache
 
 #: Micro attack budget shared by the tiny-fixture cells.
 TINY_PARAMS = dict(binary_search_steps=3, max_iterations=60,
@@ -147,9 +145,8 @@ class TestExecuteScenario:
 # Sweep driver on a real (smoke) context
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def smoke_ctx(tmp_path_factory):
-    cache = DiskCache(tmp_path_factory.mktemp("scenario_cache"))
-    return ExperimentContext("digits", profile=SMOKE, cache=cache, seed=0)
+def smoke_ctx(smoke_context, tmp_path_factory):
+    return smoke_context(tmp_path_factory.mktemp("scenario_cache"))
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +213,7 @@ class TestRunScenarios:
         after = _outcome_bytes(smoke_ctx, mini_cells)
         assert after == before
 
-    def test_stolen_work_outcomes_byte_identical(self, smoke_ctx, mini_cells):
+    def test_parallel_outcomes_byte_identical(self, smoke_ctx, mini_cells):
         """A jobs=2 sweep, where any worker may take any cell, republishes
         every outcome document byte-identical to the serial run."""
         contexts = {"digits": smoke_ctx}
@@ -230,7 +227,7 @@ class TestRunScenarios:
         assert len(outcomes) == len(mini_cells)
         assert _outcome_bytes(smoke_ctx, mini_cells) == baseline
 
-    def test_chaotic_stolen_sweep_byte_identical(self, smoke_ctx, mini_cells):
+    def test_chaotic_parallel_sweep_byte_identical(self, smoke_ctx, mini_cells):
         """FaultPlan chaos in a jobs=2 sweep must not change a byte of any
         outcome document."""
         from repro.runtime.faults import FaultPlan, RetryPolicy

@@ -25,9 +25,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.defenses.detectors import Detector
-from repro.nn.autograd import Tensor, no_grad
 from repro.nn.layers import Module
-from repro.nn.training import predict_labels
+from repro.nn.training import predict_labels, predict_logits
 
 
 def bit_depth_reduction(x: np.ndarray, bits: int) -> np.ndarray:
@@ -87,23 +86,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class SqueezeDetector(Detector):
     """Max-L1 prediction-distance detector over a squeezer ensemble."""
 
-    def __init__(self, classifier: Module, squeezers: Sequence[Squeezer],
-                 batch_size: int = 256):
+    def __init__(self, classifier: Module, squeezers: Sequence[Squeezer]):
         super().__init__()
         if not squeezers:
             raise ValueError("need at least one squeezer")
         self.classifier = classifier
         self.squeezers = list(squeezers)
-        self.batch_size = batch_size
         self.name = "squeeze_" + "+".join(s.name for s in self.squeezers)
 
     def _probs(self, x: np.ndarray) -> np.ndarray:
-        outs = []
-        with no_grad():
-            for start in range(0, x.shape[0], self.batch_size):
-                logits = self.classifier(Tensor(x[start:start + self.batch_size]))
-                outs.append(logits.data)
-        return _softmax(np.concatenate(outs, axis=0))
+        return _softmax(predict_logits(self.classifier, x))
 
     def score(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)

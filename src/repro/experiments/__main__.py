@@ -50,7 +50,8 @@ runs deterministic chaos against the runtime itself.
 (``repro.runtime.store``): ``--store-shards N`` sets the shard fan-out
 of the content-addressed artifact store, and ``--store-max-bytes SIZE``
 (plain bytes or ``512M``/``2G``-style suffixes) bounds it with LRU
-eviction.  At ``--jobs N`` each sweep cell is its own pool task, so an
+eviction.  At ``--jobs N`` one pool crafts the missing cells of every
+dataset the experiment needs, and each cell is its own pool task, so an
 idle worker always takes the next cell and a straggling high-κ cell
 holds up only its own worker.
 
@@ -181,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SPEC",
                      help="chaos mode: deterministic fault injection, e.g. "
                           "'seed=1,crash=0.05,timeout=0.02,transient=0.1"
-                          ",corrupt=0.05,hang=120' (rates per sweep cell)")
+                          ",corrupt=0.05,hang=120' (rates per sweep cell; "
+                          "cells are indexed across the experiment's "
+                          "datasets in grid order)")
     run.add_argument("--cache-dir", metavar="DIR",
                      help="artifact cache root (default: $REPRO_CACHE_DIR, "
                           "else .repro_cache)")

@@ -88,17 +88,19 @@ def run_experiment(exp_id: str, profile: Optional[ExperimentProfile] = None,
     """Run one table/figure reproduction and return its report.
 
     ``jobs`` (keyword-only) sets the parallel fan-out: with ``jobs > 1``
-    the profile's full attack grid for each dataset the experiment needs
-    is precomputed across that many worker processes before the (serial,
-    cache-hitting) experiment body runs.  ``0`` means one worker per
-    core.  Results are bitwise-identical for any value.
+    the profile's full attack grid of every dataset the experiment needs
+    is precomputed in one map, by one pool of that many worker processes
+    (at most one per missing cell), before the (serial, cache-hitting)
+    experiment body runs.  ``0`` means one worker per core.  Results are
+    bitwise-identical for any value.
 
     ``resume=True`` continues an interrupted sweep from its checkpoint
     manifest, recomputing only missing/corrupt/previously-failed cells.
     ``retry_policy`` overrides the sweep's fault-tolerance defaults and
-    ``fault_plan`` injects deterministic chaos (``--inject-faults``);
-    setting either precomputes the grid through the supervised sweep
-    even at ``jobs=1``; see :mod:`repro.runtime`.
+    ``fault_plan`` injects deterministic chaos (``--inject-faults``; its
+    item indices count the missing cells across the experiment's
+    datasets in grid order); setting either precomputes the grid through
+    the supervised sweep even at ``jobs=1``; see :mod:`repro.runtime`.
     """
     if exp_id not in _SPEC:
         raise KeyError(
@@ -115,8 +117,7 @@ def run_experiment(exp_id: str, profile: Optional[ExperimentProfile] = None,
                 or retry_policy is not None or fault_plan is not None):
             from repro.experiments.sweeps import precompute_attacks
 
-            for ctx in contexts:
-                precompute_attacks(ctx, jobs=jobs, resume=resume)
+            precompute_attacks(*contexts, jobs=jobs, resume=resume)
         return fn(*contexts)
 
 

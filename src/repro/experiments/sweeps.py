@@ -8,12 +8,13 @@ against a MagNet variant.
 
 Crafting dominates sweep wall-clock and every (attack, κ, β) cell is
 independent, so the sweep helpers route missing cells through
-:mod:`repro.runtime`: :func:`precompute_attacks` fans them out across a
-process pool and publishes the results into the context's disk cache
-under exactly the keys the serial accessors use.  Workers receive the
-already-trained classifier and the already-selected attack seeds, and
-the attacks themselves are deterministic, so a parallel sweep is
-bitwise-identical to a serial one.
+:mod:`repro.runtime`: :func:`precompute_attacks` fans the cells of one
+or more contexts out across one process pool and publishes each result
+into its context's disk cache under exactly the keys the serial
+accessors use.  Workers receive the already-trained classifier and the
+already-selected attack seeds, and the attacks themselves are
+deterministic, so a parallel sweep is bitwise-identical to a serial
+one.
 """
 
 from __future__ import annotations
@@ -193,7 +194,62 @@ def _craft_cell(payload) -> Dict[str, Dict]:
     return {rule: _result_to_arrays(both[rule]) for rule in DECISION_RULES}
 
 
-def precompute_attacks(ctx: ExperimentContext, *,
+class _Sweep:
+    """One context's share of a :func:`precompute_attacks` call: its grid,
+    the cells still missing, and its checkpoint manifest (created, or
+    loaded on ``resume``, and saved before any cell runs)."""
+
+    def __init__(self, ctx: ExperimentContext, cells: List[Dict],
+                 todo: List[Dict], resume: bool, jobs: int):
+        self.ctx, self.cells, self.todo = ctx, cells, todo
+        self.key = sweep_checkpoint_key(ctx, cells)
+        manifest = load_checkpoint(ctx, self.key) if resume else None
+        if manifest is None:
+            manifest = _fresh_manifest(ctx, cells, jobs)
+        else:
+            log.info("resuming sweep %s on %s: %d/%d cells already done, "
+                     "%d previously failed", self.key, ctx.dataset,
+                     len(cells) - len(todo), len(cells),
+                     len(manifest.get("failed", {})))
+            manifest["failed"] = {}      # previously-failed cells get retried
+            manifest["status"] = "running"
+            manifest["jobs"] = jobs
+        for cell in cells:
+            if cell not in todo:
+                manifest["done"].setdefault(_cell_id(cell), {})
+        self.manifest = manifest
+        self.save()
+
+    def save(self) -> None:
+        _save_manifest(self.ctx, self.key, self.manifest)
+
+    def payload(self, cell: Dict) -> tuple:
+        """:func:`_craft_cell`'s input.  The classifier and seeds are
+        materialized in the parent, so workers never train or select
+        (and results cannot depend on worker-local state)."""
+        x0, y0 = self.ctx.attack_seeds()
+        return (self.ctx.classifier, self.ctx.profile, x0, y0, cell)
+
+    def heal(self) -> int:
+        """Recraft, serially, every cell that "completed" but whose
+        artifact is unreadable (injected corruption, torn write);
+        determinism makes the healed artifact bitwise-identical."""
+        failed_ids = set(self.manifest["failed"])
+        suspect = [c for c in self.cells if _cell_id(c) not in failed_ids]
+        healed = missing_cells(self.ctx, suspect, verify=True)
+        for cell in healed:
+            log.warning("healing unreadable cell %s on %s", _cell_id(cell),
+                        self.ctx.dataset)
+            keys = _cell_keys(self.ctx, cell)
+            for slot, arrays in _craft_cell(self.payload(cell)).items():
+                self.ctx.cache.save("attacks", keys[slot], arrays,
+                                    meta={"cell": cell, "slot": slot})
+            self.manifest["done"][_cell_id(cell)] = {
+                "keys": sorted(keys.values()), "healed": True}
+        return len(healed)
+
+
+def precompute_attacks(*contexts: ExperimentContext,
                        kappas: Optional[Sequence[float]] = None,
                        betas: Optional[Sequence[float]] = None,
                        include_cw: bool = True,
@@ -202,75 +258,75 @@ def precompute_attacks(ctx: ExperimentContext, *,
                        policy: Optional[RetryPolicy] = None,
                        fault_plan: Optional[FaultPlan] = None
                        ) -> Dict[str, int]:
-    """Craft every uncached cell of a sweep, fanning out across ``jobs``.
+    """Craft every uncached cell of each context's sweep in one map.
 
     After this returns, the serial accessors (``ctx.cw``/``ctx.ead``)
-    are pure cache hits for the covered grid.  Returns a summary dict
-    (``computed``/``cached``/``jobs``/``failed``/``healed``).
+    are pure cache hits for the covered grid of every context.  Returns
+    a summary dict (``computed``/``cached``/``jobs``/``failed``/
+    ``healed``) totalled over the contexts.
+
+    Each context plans its own sweep (missing cells, checkpoint
+    manifest, pinned keys); the missing cells of all contexts, in
+    argument order and each context's grid order, then run through one
+    :class:`~repro.runtime.executor.ParallelExecutor` map, so one pool
+    of ``min(jobs, cells)`` workers serves every dataset of an
+    experiment.  ``jobs``, ``policy`` and ``fault_plan`` default to the
+    first context's hints.
 
     The sweep is fault-tolerant and resumable:
 
     * Cells run under ``policy`` (default :data:`SWEEP_RETRY_POLICY`):
       per-item timeout, bounded retry with exponential backoff, and
       crashed-cell re-dispatch on a worker crash.  A cell that exhausts
-      its retries is recorded as failed — in the checkpoint manifest
-      and as ``sweep/cell_failed`` telemetry — instead of aborting the
-      sweep; every healthy cell still completes.
-    * Every completed cell is published to the disk cache *and* noted
-      in an atomically-rewritten checkpoint manifest
-      (``checkpoints/<sweep-key>.json``) as it finishes, so a killed
-      run resumes from the last completed cell.  ``resume=True``
+      its retries is recorded as failed — in its context's checkpoint
+      manifest and as ``sweep/cell_failed`` telemetry — instead of
+      aborting the sweep; every healthy cell still completes.
+    * Every completed cell is published to its context's disk cache
+      *and* noted in that context's atomically-rewritten checkpoint
+      manifest (``checkpoints/<sweep-key>.json``) as it finishes, so a
+      killed run resumes from the last completed cell.  ``resume=True``
       additionally load-verifies cached artifacts (a corrupt entry
       counts as missing) and retries previously-failed cells.
     * ``fault_plan`` injects deterministic chaos (crashes, hangs,
-      transient faults, corrupted cache reads) for testing; because
+      transient faults, corrupted cache reads) for testing; its item
+      indices count the missing cells across all contexts.  Because
       retries reuse per-cell seeds and attacks are deterministic, a
       faulted run that completes is bitwise-identical to a clean one.
     """
-    jobs = resolve_jobs(ctx.jobs if jobs is None else jobs)
+    if not contexts:
+        raise TypeError("precompute_attacks() needs at least one context")
+    first = contexts[0]
+    jobs = resolve_jobs(first.jobs if jobs is None else jobs)
     if policy is None:
-        policy = getattr(ctx, "retry_policy", None) or SWEEP_RETRY_POLICY
+        policy = getattr(first, "retry_policy", None) or SWEEP_RETRY_POLICY
     if fault_plan is None:
-        fault_plan = getattr(ctx, "fault_plan", None)
-    cells = attack_grid(ctx, kappas=kappas, betas=betas,
-                        include_cw=include_cw)
-    todo = missing_cells(ctx, cells, verify=resume)
-    summary = {"computed": len(todo), "cached": len(cells) - len(todo),
-               "jobs": jobs, "failed": 0, "healed": 0}
-    if not todo:
+        fault_plan = getattr(first, "fault_plan", None)
+    summary = {"computed": 0, "cached": 0, "jobs": jobs, "failed": 0,
+               "healed": 0}
+    sweeps: List[_Sweep] = []
+    for ctx in contexts:
+        cells = attack_grid(ctx, kappas=kappas, betas=betas,
+                            include_cw=include_cw)
+        todo = missing_cells(ctx, cells, verify=resume)
+        summary["computed"] += len(todo)
+        summary["cached"] += len(cells) - len(todo)
+        if todo:
+            sweeps.append(_Sweep(ctx, cells, todo, resume, jobs))
+    if not sweeps:
         return summary
 
-    ckpt_key = sweep_checkpoint_key(ctx, cells)
-    manifest = load_checkpoint(ctx, ckpt_key) if resume else None
-    if manifest is None:
-        manifest = _fresh_manifest(ctx, cells, jobs)
-    else:
-        log.info("resuming sweep %s on %s: %d/%d cells already done, "
-                 "%d previously failed", ckpt_key, ctx.dataset,
-                 len(cells) - len(todo), len(cells),
-                 len(manifest.get("failed", {})))
-        manifest["failed"] = {}      # previously-failed cells get retried
-        manifest["status"] = "running"
-        manifest["jobs"] = jobs
-    for cell in cells:
-        if cell not in todo:
-            manifest["done"].setdefault(_cell_id(cell), {})
-    _save_manifest(ctx, ckpt_key, manifest)
-
-    with span("sweep/precompute", dataset=ctx.dataset,
-              cells=len(todo), jobs=jobs, resume=resume or None) as evt:
-        # Materialize shared inputs once, in the parent, so workers do
-        # not redundantly train/select (and so results cannot depend on
-        # worker-local state).
-        classifier = ctx.classifier
-        x0, y0 = ctx.attack_seeds()
+    # One work item per missing cell; the index is the fault-plan index.
+    items = [(sweep, cell) for sweep in sweeps for cell in sweep.todo]
+    datasets = ",".join(sweep.ctx.dataset for sweep in sweeps)
+    with span("sweep/precompute", datasets=datasets, cells=len(items),
+              jobs=jobs, resume=resume or None) as evt:
+        payloads = [sweep.payload(cell) for sweep, cell in items]
         if fault_plan is not None:
             log.warning("sweep chaos mode: %s", fault_plan.describe())
         log.info("precomputing %d attack cells on %s with %d workers",
-                 len(todo), ctx.dataset, jobs)
-        payloads = [(classifier, ctx.profile, x0, y0, cell) for cell in todo]
+                 len(items), datasets, jobs)
 
-        pinned: List[str] = []
+        pinned: List[tuple] = []
 
         def publish(index: int, arrays_by_slot: Dict) -> None:
             """Publish one completed cell + checkpoint it, incrementally.
@@ -279,64 +335,53 @@ def precompute_attacks(ctx: ExperimentContext, *,
             checkpoint manifest references them, so a size-capped store
             must not LRU-evict them out from under the resume contract.
             """
-            cell = todo[index]
-            keys = _cell_keys(ctx, cell)
+            sweep, cell = items[index]
+            cache = sweep.ctx.cache
+            keys = _cell_keys(sweep.ctx, cell)
             paths = []
             for slot, arrays in arrays_by_slot.items():
-                ctx.cache.pin("attacks", keys[slot])
-                pinned.append(keys[slot])
-                paths.append(ctx.cache.save(
+                cache.pin("attacks", keys[slot])
+                pinned.append((cache, keys[slot]))
+                paths.append(cache.save(
                     "attacks", keys[slot], arrays,
                     meta={"cell": cell, "slot": slot}))
             if fault_plan is not None and fault_plan.corrupts_item(index):
                 log.warning("injecting cache corruption into cell %s",
                             _cell_id(cell))
                 corrupt_cache_entry(paths[0])
-            manifest["done"][_cell_id(cell)] = {"keys": sorted(keys.values())}
-            _save_manifest(ctx, ckpt_key, manifest)
+            sweep.manifest["done"][_cell_id(cell)] = {
+                "keys": sorted(keys.values())}
+            sweep.save()
 
         executor = ParallelExecutor(jobs, policy=policy,
                                     fault_plan=fault_plan, on_error="record")
         try:
             outputs = executor.map(_craft_cell, payloads, on_result=publish)
         finally:
-            for key in pinned:
-                ctx.cache.unpin("attacks", key)
+            for cache, key in pinned:
+                cache.unpin("attacks", key)
 
-        for cell, output in zip(todo, outputs):
+        for (sweep, cell), output in zip(items, outputs):
             if isinstance(output, ItemFailure):
                 summary["failed"] += 1
-                manifest["failed"][_cell_id(cell)] = {
+                sweep.manifest["failed"][_cell_id(cell)] = {
                     "kind": output.kind, "error": output.error,
                     "attempts": output.attempts,
                 }
-                event("sweep/cell_failed", cell=_cell_id(cell),
-                      reason=output.kind, attempts=output.attempts)
-                log.error("sweep cell %s failed terminally (%s after %d "
-                          "attempts): %s", _cell_id(cell), output.kind,
-                          output.attempts, output.error)
+                event("sweep/cell_failed", dataset=sweep.ctx.dataset,
+                      cell=_cell_id(cell), reason=output.kind,
+                      attempts=output.attempts)
+                log.error("sweep cell %s on %s failed terminally (%s after "
+                          "%d attempts): %s", _cell_id(cell),
+                          sweep.ctx.dataset, output.kind, output.attempts,
+                          output.error)
 
-        if fault_plan is not None:
-            # Self-heal pass: any cell that "completed" but whose
-            # artifact is unreadable (injected corruption, torn write)
-            # is recomputed serially; determinism makes the healed
-            # artifact bitwise-identical.
-            failed_ids = set(manifest["failed"])
-            suspect = [c for c in cells if _cell_id(c) not in failed_ids]
-            for cell in missing_cells(ctx, suspect, verify=True):
-                log.warning("healing unreadable cell %s", _cell_id(cell))
-                arrays_by_slot = _craft_cell(
-                    (classifier, ctx.profile, x0, y0, cell))
-                keys = _cell_keys(ctx, cell)
-                for slot, arrays in arrays_by_slot.items():
-                    ctx.cache.save("attacks", keys[slot], arrays,
-                                   meta={"cell": cell, "slot": slot})
-                manifest["done"][_cell_id(cell)] = {
-                    "keys": sorted(keys.values()), "healed": True}
-                summary["healed"] += 1
-
-        manifest["status"] = ("partial" if manifest["failed"] else "complete")
-        _save_manifest(ctx, ckpt_key, manifest)
+        for sweep in sweeps:
+            if fault_plan is not None:
+                summary["healed"] += sweep.heal()
+            sweep.manifest["status"] = ("partial" if sweep.manifest["failed"]
+                                        else "complete")
+            sweep.save()
         evt["failed"] = summary["failed"] or None
     return summary
 

@@ -311,7 +311,7 @@ def _format_node(node: SpanNode, count: int, total_s: float,
         parts.append(f"self={self_s:.3f}s")
         interesting = {k: v for k, v in node.attrs.items()
                        if k in ("cache", "batch", "items", "jobs", "cells",
-                                "kappa", "beta", "step", "dataset",
+                                "kappa", "beta", "step", "dataset", "datasets",
                                 "detected", "successes", "iterations")}
         if node.worker is not None:
             parts.append(f"pid={node.worker}")

@@ -102,6 +102,29 @@ class TestSqueezeDetector:
         with pytest.raises(ValueError):
             SqueezeDetector(_MeanClassifier(), [])
 
+    def test_forwards_in_inference_chunks(self, rng):
+        """Scoring runs the shared inference path: INFERENCE_BATCH-row
+        no-grad chunks, each row scored as if it were alone."""
+        from repro.nn.training import INFERENCE_BATCH
+
+        class Recording(_MeanClassifier):
+            rows = []
+
+            def forward(self, x):
+                self.rows.append(x.shape[0])
+                return super().forward(x)
+
+        det = SqueezeDetector(Recording(), [
+            Squeezer("bit1", lambda x: bit_depth_reduction(x, 1))])
+        n = 2 * INFERENCE_BATCH + 3
+        x = rng.random((n, 1, 4, 4)).astype(np.float32)
+        scores = det.score(x)
+        chunks = [INFERENCE_BATCH, INFERENCE_BATCH, 3]
+        assert Recording.rows == chunks * 2       # raw, then squeezed
+        assert not hasattr(det, "batch_size")
+        alone = np.concatenate([det.score(x[i:i + 1]) for i in range(n)])
+        np.testing.assert_allclose(scores, alone, rtol=1e-6)
+
 
 class TestFeatureSqueezingPipeline:
     def test_default_squeezers_per_dataset(self):

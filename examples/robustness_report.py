@@ -7,7 +7,7 @@ would before shipping a model behind MagNet:
 1. clean accuracy, with and without the defense;
 2. benign corruption robustness (noise/blur severity sweeps) — does the
    detector reject legitimate-but-shifted inputs?
-3. adversarial robustness at a fixed confidence: FGSM, PGD, C&W, EAD;
+3. adversarial robustness at a fixed confidence: FGSM, I-FGSM, C&W, EAD;
 4. per-class weak points and the most common adversarial confusions;
 5. detector ROC/AUC against the strongest attack found.
 
@@ -16,7 +16,13 @@ Run:  python examples/robustness_report.py
 
 import numpy as np
 
-from repro.attacks import EAD, FGSM, PGD, CarliniWagnerL2, logits_of
+from repro.attacks import (
+    EAD,
+    FGSM,
+    CarliniWagnerL2,
+    IterativeFGSM,
+    logits_of,
+)
 from repro.datasets import load_digit_splits, robustness_curve
 from repro.defenses import build_magnet
 from repro.evaluation import (
@@ -60,7 +66,8 @@ def main():
     x0, y0 = splits.test.x[idx], splits.test.y[idx]
     attacks = {
         "FGSM eps=0.1": FGSM(model, epsilon=0.1),
-        "PGD eps=0.1": PGD(model, epsilon=0.1, step_size=0.02, steps=15),
+        "I-FGSM eps=0.1": IterativeFGSM(model, epsilon=0.1, step_size=0.02,
+                                        steps=15),
         "C&W kappa=10": CarliniWagnerL2(model, kappa=10.0,
                                         binary_search_steps=4,
                                         max_iterations=120,

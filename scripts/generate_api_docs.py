@@ -53,6 +53,18 @@ def describe_symbol(name: str, obj) -> str:
     return f"- **`{name}{sig}`** *({kind})* — {doc}"
 
 
+def public_symbols(pkg):
+    """``(name, obj)`` for each symbol of ``pkg`` that gets an API.md line."""
+    exported = getattr(pkg, "__all__", None)
+    if exported is None:
+        exported = [n for n in dir(pkg) if not n.startswith("_")]
+    for name in exported:
+        obj = getattr(pkg, name, None)
+        if obj is None or inspect.ismodule(obj):
+            continue
+        yield name, obj
+
+
 def main(out_path: str = "API.md") -> None:
     lines = [
         "# API reference",
@@ -63,18 +75,12 @@ def main(out_path: str = "API.md") -> None:
     ]
     for pkg_name in PACKAGES:
         pkg = importlib.import_module(pkg_name)
-        exported = getattr(pkg, "__all__", None)
-        if exported is None:
-            exported = [n for n in dir(pkg) if not n.startswith("_")]
         lines.append(f"## `{pkg_name}`")
         lines.append("")
         pkg_doc = first_paragraph(inspect.getdoc(pkg) or "")
         lines.append(pkg_doc)
         lines.append("")
-        for name in exported:
-            obj = getattr(pkg, name, None)
-            if obj is None or inspect.ismodule(obj):
-                continue
+        for name, obj in public_symbols(pkg):
             lines.append(describe_symbol(name, obj))
         lines.append("")
     with open(out_path, "w") as fh:

@@ -30,9 +30,6 @@ from repro.attacks.deepfool import DeepFool
 from repro.attacks.ead import DECISION_RULES, EAD, shrink_threshold
 from repro.attacks.fgsm import FGSM, IterativeFGSM
 from repro.attacks.graybox import AveragedModel, ReformedModel, graybox_model
-from repro.attacks.jsma import JSMA
-from repro.attacks.pgd import PGD, MomentumFGSM
-from repro.attacks.zoo import RandomNoise, ZOO
 from repro.attacks.gradients import (
     attack_margin,
     class_logit_grads,
@@ -59,13 +56,8 @@ __all__ = [
     "EAD",
     "FGSM",
     "IterativeFGSM",
-    "JSMA",
     "MaskedLanes",
-    "MomentumFGSM",
-    "PGD",
-    "RandomNoise",
     "ReformedModel",
-    "ZOO",
     "attack_margin",
     "bpda_model",
     "class_logit_grads",

@@ -10,17 +10,8 @@ from repro.defenses.detectors import (
     ReconstructionDetector,
     jensen_shannon_divergence,
 )
-from repro.defenses.ensemble import DetectorUnion
 from repro.defenses.magnet import MagNet, MagNetDecision
 from repro.defenses.reformer import Reformer
-from repro.defenses.squeezing import (
-    FeatureSqueezing,
-    SqueezeDetector,
-    Squeezer,
-    bit_depth_reduction,
-    default_squeezers,
-    median_smoothing,
-)
 from repro.defenses.variants import (
     CIFAR_VARIANTS,
     JSD_TEMPERATURES,
@@ -33,8 +24,6 @@ __all__ = [
     "AdversarialTrainer",
     "CIFAR_VARIANTS",
     "Detector",
-    "DetectorUnion",
-    "FeatureSqueezing",
     "JSDDetector",
     "JSD_TEMPERATURES",
     "MNIST_VARIANTS",
@@ -42,13 +31,8 @@ __all__ = [
     "MagNetDecision",
     "ReconstructionDetector",
     "Reformer",
-    "SqueezeDetector",
-    "Squeezer",
     "VARIANT_LABELS",
     "adversarially_train_classifier",
-    "bit_depth_reduction",
     "build_magnet",
-    "default_squeezers",
     "jensen_shannon_divergence",
-    "median_smoothing",
 ]

@@ -17,11 +17,6 @@ from repro.attacks import (
     EAD,
     FGSM,
     IterativeFGSM,
-    JSMA,
-    MomentumFGSM,
-    PGD,
-    RandomNoise,
-    ZOO,
     concat_results,
     flat_norms,
 )
@@ -44,12 +39,7 @@ def _empty_batch():
 ATTACK_FACTORIES = [
     pytest.param(lambda m: FGSM(m, epsilon=0.1), id="fgsm"),
     pytest.param(lambda m: IterativeFGSM(m, epsilon=0.1, steps=3), id="ifgsm"),
-    pytest.param(lambda m: PGD(m, epsilon=0.1, steps=3), id="pgd"),
-    pytest.param(lambda m: MomentumFGSM(m, epsilon=0.1, steps=3), id="mifgsm"),
     pytest.param(lambda m: DeepFool(m, max_iterations=5), id="deepfool"),
-    pytest.param(lambda m: JSMA(m, max_fraction=0.05), id="jsma"),
-    pytest.param(lambda m: ZOO(m, max_iterations=5), id="zoo"),
-    pytest.param(lambda m: RandomNoise(m), id="random_noise"),
     pytest.param(lambda m: EAD(m, max_iterations=5), id="ead"),
     pytest.param(lambda m: CarliniWagnerL2(m, max_iterations=5), id="cw"),
 ]

@@ -134,7 +134,7 @@ class TestSplitsKey:
 
 def test_inference_stack_imports_without_scipy():
     """scipy loads only where a function needs it (dataset rendering,
-    corruptions, median smoothing, the fft kernel)."""
+    corruptions, the fft kernel)."""
     code = ("import sys, repro.experiments, repro.serving; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = Path(repro.datasets.__file__).parents[2]

@@ -1,54 +1,12 @@
-"""Property-based tests for the extension modules (squeezers, ROC, schedules)."""
+"""Property-based tests for the ROC metrics and learning-rate schedules."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.defenses.squeezing import bit_depth_reduction, median_smoothing
 from repro.evaluation.roc import roc_curve
 from repro.nn.schedules import CosineLR, SqrtDecayLR, StepLR
-
-_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
-
-
-def _images(max_side=6):
-    return arrays(np.float32, (2, 1, 4, 4), elements=_unit)
-
-
-class TestSqueezerProperties:
-    @given(x=_images(), bits=st.integers(1, 8))
-    @settings(max_examples=50, deadline=None)
-    def test_bit_depth_idempotent(self, x, bits):
-        once = bit_depth_reduction(x, bits)
-        twice = bit_depth_reduction(once, bits)
-        np.testing.assert_allclose(once, twice, atol=1e-7)
-
-    @given(x=_images(), bits=st.integers(1, 8))
-    @settings(max_examples=50, deadline=None)
-    def test_bit_depth_bounded_error(self, x, bits):
-        out = bit_depth_reduction(x, bits)
-        max_err = 0.5 / (2 ** bits - 1)
-        assert np.abs(out - x).max() <= max_err + 1e-6
-
-    @given(x=_images(), bits=st.integers(1, 8))
-    @settings(max_examples=50, deadline=None)
-    def test_bit_depth_stays_in_box(self, x, bits):
-        out = bit_depth_reduction(x, bits)
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-    @given(x=_images(), kernel=st.integers(2, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_median_preserves_box(self, x, kernel):
-        out = median_smoothing(x, kernel)
-        assert out.min() >= x.min() - 1e-7
-        assert out.max() <= x.max() + 1e-7
-
-    @given(c=st.floats(0.0, 1.0, width=32), kernel=st.integers(2, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_median_fixed_point_on_constants(self, c, kernel):
-        x = np.full((1, 1, 6, 6), c, dtype=np.float32)
-        np.testing.assert_allclose(median_smoothing(x, kernel), c, atol=1e-7)
 
 
 class TestRocProperties:

@@ -54,6 +54,24 @@ class TestApiDocsGenerator:
                        "build_magnet(", "run_experiment("):
             assert symbol in text
 
+    def test_committed_api_md_lists_each_package_all(self):
+        """API.md's symbol list per package equals what regenerating would
+        write.  Only names are compared: signature rendering differs
+        across Python versions."""
+        gen = _load("generate_api_docs.py")
+        text = (REPO_ROOT / "API.md").read_text()
+        documented = {}
+        for section in re.split(r"^## ", text, flags=re.M)[1:]:
+            pkg = re.match(r"`([\w.]+)`", section).group(1)
+            documented[pkg] = re.findall(r"^- \*\*`(\w+)", section, flags=re.M)
+        assert list(documented) == gen.PACKAGES
+        for pkg_name in gen.PACKAGES:
+            pkg = importlib.import_module(pkg_name)
+            expected = [name for name, _ in gen.public_symbols(pkg)]
+            assert documented[pkg_name] == expected, (
+                f"API.md is stale for {pkg_name}; "
+                "run scripts/generate_api_docs.py")
+
 
 class TestExperimentsMdGenerator:
     def test_paper_reference_covers_all_experiments(self):

@@ -5,7 +5,9 @@ are complementary axes; a downstream user evaluating MagNet-style
 defenses typically reports both.  These corruptions follow the
 Hendrycks & Dietterich (2019) families that make sense at 28-32 px:
 Gaussian noise, blur, contrast reduction, brightness shift, pixelation
-and occlusion — each with a 1-5 severity scale.
+and occlusion — each with a 1-5 severity scale.  All are numpy only;
+the blur is :func:`repro.datasets.rendering.gaussian_blur`, bitwise equal
+to ``scipy.ndimage.gaussian_filter`` on the spatial axes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Callable, Dict, Sequence
 
 import numpy as np
 
+from repro.datasets import rendering
 from repro.utils.rng import rng_from_seed
 
 CorruptionFn = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
@@ -38,13 +41,10 @@ def gaussian_noise(x: np.ndarray, severity: int,
 
 def gaussian_blur(x: np.ndarray, severity: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """Isotropic blur of the spatial axes."""
-    from scipy import ndimage
-
+    """Isotropic blur of the spatial axes (the datasets' numpy blur)."""
     x = _check(x, severity)
     sigma = [0.4, 0.7, 1.0, 1.5, 2.0][severity - 1]
-    return ndimage.gaussian_filter(
-        x, sigma=(0, 0, sigma, sigma)).astype(np.float32)
+    return rendering.gaussian_blur(x, sigma)
 
 
 def contrast(x: np.ndarray, severity: int,

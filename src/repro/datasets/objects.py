@@ -6,6 +6,11 @@ over a textured background.  By construction this task is *harder* than
 SyntheticDigits — textured backgrounds raise the reconstruction noise
 floor of MagNet's autoencoders and lower classifier accuracy — matching
 the MNIST-vs-CIFAR difficulty ordering the paper's experiments exploit.
+
+Scenes are rendered :data:`~repro.datasets.rendering.CHUNK` at a time:
+each image's RNG draws are made in stream order, then the chunk's shape
+masks (one call per shape family), textures, blur and noise are computed
+in a few numpy calls.  :func:`render_object` is that path for one image.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ import numpy as np
 
 from repro.datasets.base import Dataset, DataSplits
 from repro.datasets.rendering import (
-    add_pixel_noise,
     gaussian_blur,
-    perlin_like_texture,
     pixel_grid,
+    render_chunks,
     soft_mask,
+    value_noise,
 )
 from repro.utils.rng import rng_from_seed
 
@@ -39,28 +44,56 @@ def _hsv_to_rgb(h: float, s: float, v: float) -> np.ndarray:
     return np.array(colorsys.hsv_to_rgb(h % 1.0, s, v), dtype=np.float32)
 
 
-def _shape_mask(cls: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Return a soft foreground mask in [0,1] for the class's shape family."""
+def _draw_shape(name: str, rng: np.random.Generator) -> list:
+    """One image's shape parameters, drawn in the generator's stream order.
+
+    Centre (cx, cy) and radius come first for every family, then the
+    family's own: see :func:`_shape_masks` for what each one means.
+    """
+    params = [rng.uniform(0.35, 0.65), rng.uniform(0.35, 0.65), rng.uniform(0.18, 0.30)]
+    if name == "square":
+        params.append(rng.uniform(-0.4, 0.4))
+    elif name == "triangle":
+        params.append(rng.uniform(0, 2 * np.pi))
+    elif name == "ring":
+        params.append(rng.uniform(0.28, 0.42))
+    elif name == "cross":
+        params += [rng.uniform(-0.3, 0.3), rng.uniform(0.30, 0.42)]
+    elif name in ("hstripes", "vstripes"):
+        params += [rng.integers(3, 6), rng.uniform(0, 2 * np.pi)]
+    elif name == "checker":
+        params += [rng.integers(2, 5), *rng.uniform(0, 2 * np.pi, size=2)]
+    elif name == "diagonal":
+        params += [rng.uniform(np.pi / 6, np.pi / 3) * rng.choice([-1.0, 1.0]),
+                   rng.uniform(0.10, 0.18)]
+    elif name == "blobs":
+        for _ in range(3):
+            params += [*rng.uniform(0.2, 0.8, size=2), rng.uniform(0.08, 0.16)]
+    return params
+
+
+def _shape_masks(name: str, params: np.ndarray, size: int) -> np.ndarray:
+    """Soft foreground masks (B, size, size) in [0,1] for one shape family.
+
+    ``params`` is (B, k): one :func:`_draw_shape` row per image.
+    """
     px, py = pixel_grid(size)
-    cx = rng.uniform(0.35, 0.65)
-    cy = rng.uniform(0.35, 0.65)
-    radius = rng.uniform(0.18, 0.30)
+    cx, cy, radius, *extra = params.T[:, :, None, None]
     edge = 2.0 / size
-    name = CLASS_NAMES[cls]
 
     if name == "disc":
         sd = np.hypot(px - cx, py - cy) - radius
         return soft_mask(sd, edge)
     if name == "square":
-        angle = rng.uniform(-0.4, 0.4)
+        (angle,) = extra
         ux = np.cos(angle) * (px - cx) + np.sin(angle) * (py - cy)
         uy = -np.sin(angle) * (px - cx) + np.cos(angle) * (py - cy)
         sd = np.maximum(np.abs(ux), np.abs(uy)) - radius
         return soft_mask(sd, edge)
     if name == "triangle":
         # Equilateral-ish triangle via three half-plane constraints.
-        angle = rng.uniform(0, 2 * np.pi)
-        sd = np.full_like(px, -np.inf)
+        (angle,) = extra
+        sd = np.full(angle.shape[:1] + px.shape, -np.inf)
         for k in range(3):
             theta = angle + 2 * np.pi * k / 3
             nx, ny = np.cos(theta), np.sin(theta)
@@ -69,46 +102,82 @@ def _shape_mask(cls: int, rng: np.random.Generator, size: int) -> np.ndarray:
         return soft_mask(sd, edge)
     if name == "ring":
         r = np.hypot(px - cx, py - cy)
-        width = radius * rng.uniform(0.28, 0.42)
+        width = radius * extra[0]
         sd = np.abs(r - radius) - width
         return soft_mask(sd, edge)
     if name == "cross":
-        angle = rng.uniform(-0.3, 0.3)
+        angle, arm_frac = extra
         ux = np.cos(angle) * (px - cx) + np.sin(angle) * (py - cy)
         uy = -np.sin(angle) * (px - cx) + np.cos(angle) * (py - cy)
-        arm = radius * rng.uniform(0.30, 0.42)
+        arm = radius * arm_frac
         bar1 = np.maximum(np.abs(ux) - radius, np.abs(uy) - arm)
         bar2 = np.maximum(np.abs(uy) - radius, np.abs(ux) - arm)
         sd = np.minimum(bar1, bar2)
         return soft_mask(sd, edge)
-    if name == "hstripes":
-        freq = rng.integers(3, 6)
-        phase = rng.uniform(0, 2 * np.pi)
-        return (0.5 + 0.5 * np.sin(2 * np.pi * freq * py + phase)).astype(np.float32)
-    if name == "vstripes":
-        freq = rng.integers(3, 6)
-        phase = rng.uniform(0, 2 * np.pi)
-        return (0.5 + 0.5 * np.sin(2 * np.pi * freq * px + phase)).astype(np.float32)
+    if name in ("hstripes", "vstripes"):
+        freq, phase = extra
+        axis = py if name == "hstripes" else px
+        return (0.5 + 0.5 * np.sin(2 * np.pi * freq * axis + phase)).astype(np.float32)
     if name == "checker":
-        freq = rng.integers(2, 5)
-        phase_x, phase_y = rng.uniform(0, 2 * np.pi, size=2)
+        freq, phase_x, phase_y = extra
         wave = (np.sin(2 * np.pi * freq * px + phase_x)
                 * np.sin(2 * np.pi * freq * py + phase_y))
         return (0.5 + 0.5 * np.sign(wave) * np.minimum(np.abs(wave) * 3, 1)).astype(np.float32)
     if name == "diagonal":
-        angle = rng.uniform(np.pi / 6, np.pi / 3) * rng.choice([-1.0, 1.0])
+        angle, width = extra
         nx, ny = np.sin(angle), np.cos(angle)
-        width = rng.uniform(0.10, 0.18)
         sd = np.abs(nx * (px - cx) + ny * (py - cy)) - width
         return soft_mask(sd, edge)
     if name == "blobs":
-        sd = np.full_like(px, np.inf)
-        for _ in range(3):
-            bx, by = rng.uniform(0.2, 0.8, size=2)
-            br = rng.uniform(0.08, 0.16)
+        sd = np.full(cx.shape[:1] + px.shape, np.inf)
+        for bx, by, br in zip(extra[0::3], extra[1::3], extra[2::3]):
             sd = np.minimum(sd, np.hypot(px - bx, py - by) - br)
         return soft_mask(sd, edge)
-    raise ValueError(f"unknown class {cls}")  # pragma: no cover
+    raise ValueError(f"unknown shape {name!r}")  # pragma: no cover
+
+
+def _render_objects(labels: np.ndarray, rng: np.random.Generator,
+                    size: int) -> np.ndarray:
+    """Render ``labels`` as (B, 3, size, size) float32 scenes in [0, 1].
+
+    A first pass makes every RNG draw image by image, in the order one
+    image at a time would; the second renders the whole batch at once
+    (the masks one shape family at a time).
+    """
+    n = len(labels)
+    shapes = []
+    colors = np.empty((n, 2, 3), dtype=np.float32)   # foreground, background
+    # perlin_like_texture's grids: 3 background octaves, then 2 foreground.
+    grids = [np.empty((n, 4 << k, 4 << k)) for k in (0, 1, 2, 0, 1)]
+    scalars = np.empty((n, 2))                        # blur sigma, noise level
+    noise = np.empty((n, 3, size, size))
+    for i, cls in enumerate(labels):
+        shapes.append(_draw_shape(CLASS_NAMES[cls], rng))
+        fg_hue = _CLASS_HUES[cls] + rng.normal(0, 0.05)
+        colors[i, 0] = _hsv_to_rgb(fg_hue, rng.uniform(0.55, 0.95), rng.uniform(0.65, 1.0))
+        bg_hue = fg_hue + rng.uniform(0.3, 0.7)
+        colors[i, 1] = _hsv_to_rgb(bg_hue, rng.uniform(0.1, 0.45), rng.uniform(0.25, 0.75))
+        for grid in grids:
+            grid[i] = rng.random(grid.shape[1:])
+        # Heterogeneous per-image noise, for the same detector-headroom
+        # reasons as SyntheticDigits (see repro.datasets.digits).
+        scalars[i] = rng.uniform(0.2, 0.5), rng.uniform(0.01, 0.06)
+        noise[i] = rng.normal(0.0, scalars[i, 1], size=(3, size, size))
+
+    mask = np.empty((n, size, size), dtype=np.float32)
+    for cls in np.unique(labels):
+        rows = np.flatnonzero(labels == cls)
+        mask[rows] = _shape_masks(CLASS_NAMES[cls], np.array([shapes[i] for i in rows]), size)
+    fg, bg = colors[:, 0, :, None, None], colors[:, 1, :, None, None]
+    texture = value_noise(grids[:3], size)
+    bg_field = bg * (0.7 + 0.5 * texture)[:, None]
+    fg_texture = 0.85 + 0.3 * value_noise(grids[3:], size)
+    fg_field = fg * fg_texture[:, None]
+
+    image = bg_field * (1.0 - mask[:, None]) + fg_field * mask[:, None]
+    image = np.clip(image, 0.0, 1.0)
+    image = gaussian_blur(image, scalars[:, 0])
+    return np.clip(image + noise, 0.0, 1.0).astype(np.float32)
 
 
 def render_object(cls: int, rng: np.random.Generator,
@@ -116,25 +185,7 @@ def render_object(cls: int, rng: np.random.Generator,
     """Render one object scene as a (3, size, size) float32 image in [0, 1]."""
     if not 0 <= cls < NUM_CLASSES:
         raise ValueError(f"class must be 0-{NUM_CLASSES - 1}, got {cls}")
-    mask = _shape_mask(cls, rng, size)
-
-    fg_hue = _CLASS_HUES[cls] + rng.normal(0, 0.05)
-    fg = _hsv_to_rgb(fg_hue, rng.uniform(0.55, 0.95), rng.uniform(0.65, 1.0))
-    bg_hue = fg_hue + rng.uniform(0.3, 0.7)
-    bg = _hsv_to_rgb(bg_hue, rng.uniform(0.1, 0.45), rng.uniform(0.25, 0.75))
-
-    texture = perlin_like_texture(size, rng)
-    bg_field = bg[:, None, None] * (0.7 + 0.5 * texture)[None, :, :]
-    fg_texture = 0.85 + 0.3 * perlin_like_texture(size, rng, octaves=2)
-    fg_field = fg[:, None, None] * fg_texture[None, :, :]
-
-    image = bg_field * (1.0 - mask[None]) + fg_field * mask[None]
-    image = np.clip(image, 0.0, 1.0)
-    image = gaussian_blur(image, rng.uniform(0.2, 0.5))
-    # Heterogeneous per-image noise, for the same detector-headroom
-    # reasons as SyntheticDigits (see repro.datasets.digits).
-    image = add_pixel_noise(image, rng.uniform(0.01, 0.06), rng)
-    return image.astype(np.float32)
+    return _render_objects(np.array([cls]), rng, size)[0]
 
 
 def generate_objects(n: int, seed: int = 0, size: int = IMAGE_SIZE) -> Dataset:
@@ -144,7 +195,8 @@ def generate_objects(n: int, seed: int = 0, size: int = IMAGE_SIZE) -> Dataset:
     rng = rng_from_seed(seed)
     labels = np.arange(n) % NUM_CLASSES
     rng.shuffle(labels)
-    images = np.stack([render_object(int(c), rng, size=size) for c in labels])
+    images = render_chunks(lambda chunk: _render_objects(chunk, rng, size),
+                           labels, (3, size, size))
     return Dataset(images, labels, name="synthetic_objects")
 
 

@@ -92,10 +92,10 @@ def generator_digest() -> str:
     """Digest of what generated pixels depend on besides their arguments.
 
     That is the source of every :mod:`repro.datasets` module and of
-    :mod:`repro.utils.rng`, and the numpy and scipy versions (read from
-    package metadata, so scipy is not imported).  Editing a generator
-    therefore invalidates the stored splits instead of serving stale
-    pixels.
+    :mod:`repro.utils.rng`, and the numpy version (read from package
+    metadata).  Rendering is numpy only, so scipy's version is not part
+    of it.  Editing a generator therefore invalidates the stored splits
+    instead of serving stale pixels.
     """
     import repro.datasets
     import repro.utils.rng
@@ -106,7 +106,6 @@ def generator_digest() -> str:
         "sources": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in sources},
         "numpy": _version("numpy"),
-        "scipy": _version("scipy"),
     })
 
 

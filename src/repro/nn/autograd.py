@@ -463,7 +463,7 @@ def softplus(a) -> Tensor:
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow in either tail."""
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(x.dtype)
+    return np.divide(np.where(x >= 0, 1.0, z), 1.0 + z)
 
 
 def sigmoid(a) -> Tensor:

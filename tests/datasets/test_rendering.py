@@ -102,14 +102,6 @@ class TestNoiseAndBlur:
         out = R.gaussian_blur(img, 1.0)
         np.testing.assert_allclose(out[1], 0.0, atol=1e-6)
 
-    def test_noise_clipped(self, rng):
-        img = np.ones((8, 8), dtype=np.float32)
-        out = R.add_pixel_noise(img, 0.5, rng)
-        assert out.max() <= 1.0 and out.min() >= 0.0
-
-    def test_noise_zero_level_identity(self, rng):
-        img = np.ones((4, 4), dtype=np.float32)
-        assert R.add_pixel_noise(img, 0.0, rng) is img
 
 
 class TestMasksAndTexture:

@@ -133,8 +133,11 @@ class TestSplitsKey:
 
 
 def test_inference_stack_imports_without_scipy():
-    """scipy loads only where a function needs it (dataset rendering,
-    corruptions, the fft kernel)."""
+    """scipy loads only where a function needs it: the fft conv kernel.
+
+    Dataset rendering and the corruptions are numpy only, so generating
+    splits never loads it either (``tests/datasets/test_batched_rendering.py``
+    runs both with scipy blocked)."""
     code = ("import sys, repro.experiments, repro.serving; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = Path(repro.datasets.__file__).parents[2]

@@ -240,6 +240,18 @@ class TestNonlinearityGradients:
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
         assert np.isfinite(out.data).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bitwise_equals_two_branch_form(self, rng, dtype):
+        """One division over a selected numerator is the two-branch form bit for bit."""
+        x = np.concatenate([rng.normal(0.0, 30.0, 5000),
+                            [0.0, -0.0, np.inf, -np.inf, 88.0, -88.0, 89.0,
+                             -89.0, 710.0, -710.0, 1e-40, -1e-40]]).astype(dtype)
+        z = np.exp(-np.abs(x))
+        reference = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(dtype)
+        out = ag.sigmoid(Tensor(x, dtype=dtype)).data
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.view(np.uint8), reference.view(np.uint8))
+
     def test_tanh(self, rng):
         check_gradient(ag.tanh, rng.standard_normal((3, 4)))
 

@@ -13,7 +13,7 @@ convolutions.  Two kernels implement them, each a stateless singleton in
     when channel counts are large — the ``paper`` profile's 256-filter
     autoencoders — because the per-pixel contraction collapses into a
     batched complex matmul over O(H·W) frequencies instead of an
-    O(H·W·k²) tap gather.  Tolerance-matched, not bitwise (see
+    O(H·W·k²) im2col gather.  Tolerance-matched, not bitwise (see
     :attr:`FFTBackend.rtol`/:attr:`FFTBackend.atol`).
 
 The kernel is a property of the model: every
@@ -148,6 +148,35 @@ def _to_nchw(nhwc: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return np.ascontiguousarray(nhwc.transpose(0, 3, 1, 2), dtype=dtype)
 
 
+#: Conv geometries whose im2col index :class:`NumpyBackend` keeps.
+#: perfbench's table1 (both datasets' classifiers and autoencoders)
+#: uses 7.
+IM2COL_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=IM2COL_CACHE_SIZE)
+def _im2col_index(ci: int, hp: int, wp: int, kh: int, kw: int, stride: int,
+                  dilation: int) -> np.ndarray:
+    """Flat positions in an ``(Hp, Wp, C)`` image of every column entry.
+
+    Element ``(y, x, c, i, j)`` of the ``(Ho, Wo, C, kh, kw)`` column
+    block of one image reads padded pixel ``(y·stride + i·dilation,
+    x·stride + j·dilation)``, channel ``c``.  The index depends only on
+    the geometry — never on the batch size or dtype — and is read-only
+    because every caller shares it.
+    """
+    ho = (hp - (kh - 1) * dilation - 1) // stride + 1
+    wo = (wp - (kw - 1) * dilation - 1) // stride + 1
+    rows = stride * np.arange(ho)[:, None] + dilation * np.arange(kh)
+    cols = stride * np.arange(wo)[:, None] + dilation * np.arange(kw)
+    index = ((rows[:, None, None, :, None] * wp
+              + cols[None, :, None, None, :]) * ci
+             + np.arange(ci)[None, None, :, None, None])
+    index = index.astype(np.intp).ravel()
+    index.flags.writeable = False
+    return index
+
+
 class NumpyBackend:
     """The reference im2col conv — the bitwise ground truth."""
 
@@ -184,12 +213,14 @@ class NumpyBackend:
                        bias: Optional[np.ndarray], stride: int, padding: int,
                        dilation: int, needs_grad: bool
                        ) -> Tuple[np.ndarray, Any]:
-        """im2col + one GEMM, gathered channels-last.
+        """im2col + one GEMM, gathered channels-last in one ``np.take``.
 
-        The input is padded and moved to NHWC in one copy, so each of
-        the kh*kw tap copies into the ``(N, Ho, Wo, C, kh, kw)`` column
-        buffer reads runs of contiguous channel vectors.  ``conv2d`` has
-        already checked that the (dilated) kernel fits the padded input.
+        The input is padded and moved to NHWC in one copy; one
+        ``np.take`` along the flattened ``Hp·Wp·C`` axis then fills the
+        ``(N, Ho, Wo, C, kh, kw)`` column buffer through the cached
+        index of :func:`_im2col_index` (``Ho·Wo·C·kh·kw·8`` bytes per
+        geometry).  ``conv2d`` has already checked that the (dilated)
+        kernel fits the padded input.
         """
         co, ci, kh, kw = weight.shape
         n, _, h, w = x.shape
@@ -198,13 +229,12 @@ class NumpyBackend:
         xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
         ho = (hp - (kh - 1) * dilation - 1) // stride + 1
         wo = (wp - (kw - 1) * dilation - 1) // stride + 1
-        cols = np.empty((n, ho, wo, ci, kh, kw), dtype=x.dtype)
-        for i in range(kh):
-            row = i * dilation
-            for j in range(kw):
-                col = j * dilation
-                cols[..., i, j] = xp[:, row:row + stride * ho:stride,
-                                     col:col + stride * wo:stride]
+        # The index is in range by construction, so "wrap" never wraps;
+        # it only skips the per-element bounds check of the default
+        # "raise" mode, about 1.3x faster on the gather.
+        index = _im2col_index(ci, hp, wp, kh, kw, stride, dilation)
+        cols = np.take(xp.reshape(n, hp * wp * ci), index, axis=1,
+                       mode="wrap")
         cols_flat = cols.reshape(n, ho, wo, ci * kh * kw)
         w_flat = weight.reshape(co, ci * kh * kw)
         out = cols_flat @ w_flat.T                      # (N, Ho, Wo, C_out)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor
-from repro.nn.backend import KERNELS
+from repro.nn.backend import KERNELS, _im2col_index
 from repro.nn.functional import conv2d, conv_output_size
 from repro.nn.gradcheck import backend_equivalence_matrix, combo_check
 
@@ -153,6 +153,13 @@ class TestNumpyForwardOracle:
         ((6, 3, 32, 32), 24, 3, 1), ((6, 24, 16, 16), 48, 3, 1),
         ((6, 48, 8, 8), 64, 3, 1), ((64, 3, 32, 32), 3, 3, 1),
         ((80, 48, 8, 8), 64, 3, 1),
+        # digits autoencoder and classifier at the inference chunk
+        ((32, 1, 28, 28), 3, 3, 1), ((32, 3, 28, 28), 3, 3, 1),
+        ((32, 3, 28, 28), 1, 3, 1), ((32, 1, 28, 28), 16, 3, 1),
+        ((32, 16, 14, 14), 32, 3, 1),
+        # objects classifier at the training batch and a test split
+        ((64, 3, 32, 32), 24, 3, 1), ((80, 3, 32, 32), 24, 3, 1),
+        ((64, 24, 16, 16), 48, 3, 1), ((80, 24, 16, 16), 48, 3, 1),
     ])
     def test_table1_shapes(self, x_shape, co, k, padding):
         rng = np.random.default_rng(sum(x_shape))
@@ -168,6 +175,30 @@ class TestNumpyForwardOracle:
         x = x.transpose(2, 3, 0, 1)                  # (2, 3, 7, 5), strided
         w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         _assert_matches_reference(x, w, None, 1, 1, 1)
+
+    def test_one_index_per_geometry(self):
+        """The gather index is keyed by geometry alone: batch size and
+        dtype share one entry, while stride, dilation and padding each
+        make a new one."""
+        kernel = KERNELS["numpy"]
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((4, 3, 3, 3))
+
+        def forward(n, dtype, stride=1, padding=1, dilation=1):
+            x = rng.standard_normal((n, 3, 11, 10)).astype(dtype)
+            kernel.conv2d_forward(x, w.astype(dtype), None, stride, padding,
+                                  dilation, needs_grad=False)
+
+        _im2col_index.cache_clear()
+        for n in (1, 6, 32):
+            for dtype in (np.float32, np.float64):
+                forward(n, dtype)
+        info = _im2col_index.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 5)
+        forward(6, np.float32, stride=2)
+        forward(6, np.float32, dilation=2)
+        forward(6, np.float32, padding=0)
+        assert _im2col_index.cache_info().currsize == 4
 
 
 # ----------------------------------------------------------------------
